@@ -7,21 +7,10 @@ sparsity tuning by HBIC, and a reproducible benchmark harness.
 """
 
 from .config import ExperimentConfig, SolverConfig, TuningConfig
-from .cluster import (
-    CommLedger,
-    Partition,
-    SimulatedCluster,
-    WorkerMessage,
-    cesdar_fit,
-    ecesdar_fit,
-    partition,
-    surrogate_root_find,
-)
+from .cluster import cesdar_fit, ecesdar_fit
 from .data import (
     Dataset,
-    GroundTruth,
     SyntheticSpec,
-    example_config,
     generate,
     generate_test,
     ingest_csv,
@@ -37,30 +26,8 @@ from .exceptions import (
     SingularSystemError,
     WorkerUnavailableError,
 )
-from .metrics import (
-    MetricsSummary,
-    TrialResult,
-    bound_check,
-    discovery_rates,
-    estimation_error,
-    mutual_coherence,
-    oracle_indicator,
-    prediction_error,
-    run_cell,
-    src_constants,
-    theory_bounds,
-)
-from .sdar import (
-    FitResult,
-    IterState,
-    SparseCoefficients,
-    detect_active,
-    dual_and_curvature,
-    esdar_fit,
-    hard_threshold,
-    kkt_residual,
-    root_find_local,
-)
-from .tuning import PathPoint, acesdar_fit, hbic, max_sparsity_cap
+from .metrics import bound_check, mutual_coherence, run_cell, src_constants, theory_bounds
+from .sdar import FitResult, SparseCoefficients, esdar_fit, kkt_residual
+from .tuning import acesdar_fit
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ non-convergence warning (outputs still written).
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -129,42 +131,19 @@ def cmd_fit(algo, data_path, response, categorical, noise_features, standardize,
 
 
 def _bench_cells(example: int, scale: float, replicates: int, seed: int, algos):
-    """Expand one example into its (config, label) grid."""
+    """Expand one example into its cells: grid axes in order, algorithms
+    innermost. The single-machine baseline of a machine sweep appears once,
+    at the first machine count, labeled M=1."""
     grid = example_grid(example)
     cells = []
-    if example in (1, 2):
-        for machines in grid["machines"]:
-            for algo in algos:
-                if algo == "esdar":
-                    # the single-machine baseline appears once, labeled M=1
-                    if machines != grid["machines"][0]:
-                        continue
-                    cell = example_config(
-                        example, scale=scale, replicates=replicates, base_seed=seed,
-                        algorithm=algo, machines=machines,
-                    )
-                    cells.append(ExperimentConfig(**{**cell.__dict__, "machines": 1}))
-                    continue
-                cells.append(example_config(
-                    example, scale=scale, replicates=replicates, base_seed=seed,
-                    algorithm=algo, machines=machines,
-                ))
-    elif example == 3:
-        for p in grid["p"]:
-            for sparsity in grid["sparsity"]:
-                for algo in algos:
-                    cells.append(example_config(
-                        example, scale=scale, replicates=replicates, base_seed=seed,
-                        algorithm=algo, p=p, sparsity=sparsity,
-                    ))
-    else:
-        for s in grid["s"]:
-            for sparsity in grid["sparsity"]:
-                for algo in algos:
-                    cells.append(example_config(
-                        example, scale=scale, replicates=replicates, base_seed=seed,
-                        algorithm=algo, s=s, sparsity=sparsity,
-                    ))
+    for *point, algo in itertools.product(*grid.values(), algos):
+        knobs = dict(zip(grid, point))
+        baseline = algo == "esdar" and "machines" in knobs
+        if baseline and knobs["machines"] != grid["machines"][0]:
+            continue
+        cell = example_config(example, scale=scale, replicates=replicates,
+                              base_seed=seed, algorithm=algo, **knobs)
+        cells.append(dataclasses.replace(cell, machines=1) if baseline else cell)
     return cells
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .data import Dataset
-from .exceptions import WorkerUnavailableError
+from .data import Dataset, _ByteReader
+from .exceptions import DegenerateColumnError, WorkerUnavailableError
 from .linalg import gram_submatrix, spd_solve
 from .sdar import FitResult, SparseCoefficients, _sdar_loop, residual_correlation
 
@@ -88,6 +88,11 @@ PROTOCOL_SHAPES = {
 
 HEADER_BYTES = 16
 _KIND_TAGS = {kind: i + 1 for i, kind in enumerate(MESSAGE_KINDS)}
+
+# Fixed stopping rule of the inner surrogate solve: absolute tolerance on the
+# dual-scale residual (relative to the anchor's largest entry) and a round cap.
+SURROGATE_TOL = 1e-12
+SURROGATE_MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,6 @@ class CommLedger:
     def worker_to_master_bytes(self) -> int:
         return self.total_bytes(WORKER_TO_MASTER)
 
-    def worker_to_master_reals(self) -> int:
-        return sum(e.n_reals for e in self.entries if e.direction == WORKER_TO_MASTER)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as out:
             out.write("iteration,kind,direction,bytes\n")
@@ -222,16 +224,17 @@ class _RemoteWorker:
     def __init__(self, worker_id: int, shard: Dataset):
         self.worker_id = worker_id
         self.shard = shard
-        self.inbox: deque[WorkerMessage] = deque()
         self.outbox: deque[WorkerMessage] = deque()
         self.failed = False
         self._beta = SparseCoefficients.zeros(shard.p)
 
-    def handle_all(self) -> None:
-        while self.inbox:
-            self._handle(self.inbox.popleft())
+    def check_alive(self) -> None:
+        if self.failed:
+            raise WorkerUnavailableError(
+                f"worker {self.worker_id} is unavailable (fail-stop)", worker=self.worker_id
+            )
 
-    def _handle(self, message: WorkerMessage) -> None:
+    def handle(self, message: WorkerMessage) -> None:
         if message.kind == "BroadcastAnchor":
             point = message.reals
             cols = message.indices
@@ -280,25 +283,16 @@ class SimulatedCluster:
         return self.data.p
 
     def _send(self, worker: _RemoteWorker, message: WorkerMessage, active_size: int) -> None:
-        if worker.failed:
-            raise WorkerUnavailableError(
-                f"worker {worker.worker_id} is unavailable (fail-stop)",
-                worker=worker.worker_id,
-            )
+        worker.check_alive()
         _audit_shape(message, self.p, active_size)
         self.ledger.record(self.iteration, message.kind, MASTER_TO_WORKER,
                            message.n_indices, message.n_reals, worker.worker_id)
         if self.messages is not None:
             self.messages.append(message)
-        worker.inbox.append(message)
-        worker.handle_all()
+        worker.handle(message)
 
     def _receive(self, worker: _RemoteWorker, expected_kind: str, active_size: int) -> WorkerMessage:
-        if worker.failed:
-            raise WorkerUnavailableError(
-                f"worker {worker.worker_id} is unavailable (fail-stop)",
-                worker=worker.worker_id,
-            )
+        worker.check_alive()
         message = worker.outbox.popleft()
         if message.kind != expected_kind:
             raise ValueError(f"expected {expected_kind}, worker sent {message.kind}")
@@ -324,11 +318,7 @@ class SimulatedCluster:
         """Sample-weighted combination of all machine curvatures."""
         total = self.weights[0] * self.master_shard.column_curvature()
         for idx, worker in enumerate(self.workers, start=1):
-            if worker.failed:
-                raise WorkerUnavailableError(
-                    f"worker {worker.worker_id} is unavailable (fail-stop)",
-                    worker=worker.worker_id,
-                )
+            worker.check_alive()
             worker.outbox.append(worker.curvature_report())
             message = self._receive(worker, "ReportCurvature", 0)
             total = total + self.weights[idx] * message.reals
@@ -336,7 +326,7 @@ class SimulatedCluster:
 
 
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
-                        cfg: SolverConfig, curvature: np.ndarray):
+                        curvature: np.ndarray):
     """Global least squares on ``active`` via master-anchored Newton rounds.
 
     The anchor is the master shard's local least squares. Each round
@@ -360,7 +350,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     point, jittered = spd_solve(gram, rhs, active_set=active)
 
     g_active = curvature[active]
-    tol = cfg.surrogate_tol * max(1.0, float(np.abs(point).max()))
+    tol = SURROGATE_TOL * max(1.0, float(np.abs(point).max()))
     # Damped correction: the undamped step diverges when the global Gram
     # exceeds twice the master-shard Gram in some direction (tiny shards),
     # so a residual increase halves the damping and restarts from the best
@@ -374,15 +364,14 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     while True:
         local = gram @ point - rhs
         combined = cluster.weights[0] * local
-        if cluster.machines > 1:
-            cluster.broadcast("BroadcastAnchor", active, point)
-            for w_idx, grad in enumerate(cluster.collect_gradients(active), start=1):
-                combined = combined + cluster.weights[w_idx] * grad
+        cluster.broadcast("BroadcastAnchor", active, point)
+        for w_idx, grad in enumerate(cluster.collect_gradients(active), start=1):
+            combined = combined + cluster.weights[w_idx] * grad
         norm = float(np.abs(combined / g_active).max())
         if norm <= tol:
             converged = True
             break
-        if rounds >= cfg.surrogate_max_rounds or omega < 1e-6:
+        if rounds >= SURROGATE_MAX_ROUNDS or omega < 1e-6:
             point = best_point
             break
         if norm < best_norm:
@@ -401,9 +390,8 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
 class _ClusterEngine:
     """Averaged-(g, d) engine: the communication-efficient distributed run."""
 
-    def __init__(self, cluster: SimulatedCluster, cfg: SolverConfig):
+    def __init__(self, cluster: SimulatedCluster):
         self.cluster = cluster
-        self.cfg = cfg
         self.p = cluster.p
         self.surrogate_ok = True
         self._g = None
@@ -416,24 +404,24 @@ class _ClusterEngine:
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         cluster = self.cluster
         combined = cluster.weights[0] * residual_correlation(cluster.master_shard, beta)
-        if cluster.machines > 1:
-            # Ship the iterate, then every worker reports its raw dual there.
-            cluster.broadcast("BroadcastActiveSet", beta.support, beta.values)
-            for w_idx, raw in enumerate(cluster.collect_duals(), start=1):
-                combined = combined + cluster.weights[w_idx] * raw
+        # Ship the iterate, then every worker reports its raw dual there.
+        cluster.broadcast("BroadcastActiveSet", beta.support, beta.values)
+        for w_idx, raw in enumerate(cluster.collect_duals(), start=1):
+            combined = combined + cluster.weights[w_idx] * raw
         return combined
 
     def root_find(self, active: np.ndarray):
         self.cluster.iteration += 1
+        # The surrogate rounds weight gradients by sample size and use the
+        # curvature only for their stop scale, so either engine's works.
         beta, jittered, rounds, ok = surrogate_root_find(
-            self.cluster, active, self.cfg, self.curvature()
+            self.cluster, active, self.curvature()
         )
         self.surrogate_ok = self.surrogate_ok and ok
         return beta, jittered, rounds
 
     def finish(self, beta: SparseCoefficients) -> None:
-        if self.cluster.machines > 1:
-            self.cluster.broadcast("BroadcastFinal", beta.support, beta.values)
+        self.cluster.broadcast("BroadcastFinal", beta.support, beta.values)
 
 
 class _MasterOnlyEngine(_ClusterEngine):
@@ -445,22 +433,20 @@ class _MasterOnlyEngine(_ClusterEngine):
 
     def curvature(self) -> np.ndarray:
         if self._g is None:
-            self._g = self.cluster.master_shard.column_curvature()
+            shard = self.cluster.master_shard
+            g = shard.column_curvature()
+            dead = np.flatnonzero(g == 0.0)
+            if dead.size:
+                name = shard.feature_names[dead[0]]
+                raise DegenerateColumnError(
+                    f"column {dead[0]} ({name!r}) is all zero on machine 0, the master shard",
+                    column=name,
+                )
+            self._g = g
         return self._g
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         return residual_correlation(self.cluster.master_shard, beta)
-
-    def root_find(self, active: np.ndarray):
-        self.cluster.iteration += 1
-        # The surrogate Newton rounds weight gradients by sample size, which
-        # needs the combined curvature only for its stop scale; master
-        # curvature works identically there.
-        beta, jittered, rounds, ok = surrogate_root_find(
-            self.cluster, active, self.cfg, self.curvature()
-        )
-        self.surrogate_ok = self.surrogate_ok and ok
-        return beta, jittered, rounds
 
 
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,
@@ -470,7 +456,7 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
     cluster = SimulatedCluster(data, machines, fail_worker=fail_worker,
                                log_messages=log_messages)
-    engine = engine_cls(cluster, cfg)
+    engine = engine_cls(cluster)
     result = _sdar_loop(engine, cfg, collect_trace, warm=warm)
     if not engine.surrogate_ok:
         result.converged = False
@@ -516,17 +502,15 @@ def write_message_log(path, messages) -> None:
 def read_message_log(path) -> list[WorkerMessage]:
     tags = {tag: kind for kind, tag in _KIND_TAGS.items()}
     messages = []
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    off = 0
-    while off < len(blob):
-        tag, length = struct.unpack_from("<BI", blob, off)
-        off += 5
+    reader = _ByteReader(path)
+    blob = reader.blob
+    while reader.off < len(blob):
+        tag, length = struct.unpack_from("<BI", blob, reader.take(5))
+        off = reader.take(length)
         (n_idx,) = struct.unpack_from("<Q", blob, off)
         indices = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off + 8)
         reals_off = off + 8 + 8 * n_idx
         n_reals = (length - 8 - 8 * n_idx) // 8
         reals = np.frombuffer(blob, dtype="<f8", count=n_reals, offset=reals_off)
         messages.append(WorkerMessage(tags[tag], indices.astype(np.int64), reals.copy()))
-        off += length
     return messages

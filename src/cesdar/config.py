@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import ConfigurationError
 
@@ -21,11 +21,6 @@ class SolverConfig:
     sparsity: int
     tau: float = 0.5
     max_iter: int = 50
-    kkt_tol: float = 1e-8
-    # Inner surrogate solve: absolute tolerance on the dual-scale residual
-    # and a round cap. The defaults drive the root far below kkt_tol.
-    surrogate_tol: float = 1e-12
-    surrogate_max_rounds: int = 200
 
     def __post_init__(self):
         if self.sparsity < 1:
@@ -34,8 +29,6 @@ class SolverConfig:
             raise ConfigurationError(f"tau must lie in (0, 1], got {self.tau}")
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.kkt_tol <= 0:
-            raise ConfigurationError("kkt_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,6 @@ class TuningConfig:
     j_override: int | None = None
     tau: float = 0.5
     max_iter: int = 50
-    kkt_tol: float = 1e-8
 
     def __post_init__(self):
         if self.step < 1:

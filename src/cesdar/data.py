@@ -270,8 +270,7 @@ def _standardize_columns(x, names):
 
 
 def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0,
-               noise_seed=0, standardize=True, drop_first=True,
-               standardize_response=None) -> Dataset:
+               noise_seed=0, standardize=True, drop_first=True) -> Dataset:
     """Load a CSV into a Dataset: dummy-encode, append noise columns, scale.
 
     Categorical columns expand to one 0/1 dummy per level, sorted by level
@@ -279,8 +278,7 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     (the reference level). ``n_noise_features`` standard-normal columns are
     appended from the dedicated noise stream of ``noise_seed``. With
     ``standardize`` every column (dummies and noise included) is centered to
-    mean zero and scaled to unit variance; the response follows suit unless
-    ``standardize_response`` overrides that.
+    mean zero and scaled to unit variance, and so is the response.
 
     Unparseable numeric cells raise with the 1-based data row number.
     """
@@ -344,14 +342,10 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     x = np.column_stack(blocks)
     y = parse(response_column)
 
-    if standardize_response is None:
-        standardize_response = standardize
-
     means = scales = None
     y_mean = y_scale = None
     if standardize:
         x, means, scales = _standardize_columns(x, names)
-    if standardize_response:
         y_mean = float(y.mean())
         y_scale = float(np.sqrt(((y - y_mean) ** 2).mean()))
         if y_scale == 0.0:
@@ -423,42 +417,49 @@ def save_cache(path, data: Dataset) -> None:
             out.write(b"\x00")
 
 
+class _ByteReader:
+    """Bounds-checked cursor over the bytes of a binary file."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as handle:
+            self.blob = handle.read()
+        self.off = 0
+
+    def take(self, size: int) -> int:
+        """Offset of the next ``size`` bytes; IngestError if the file ends first."""
+        end = self.off + size
+        if end > len(self.blob):
+            raise IngestError(f"{self.path}: truncated file: expected at least {end} "
+                              f"bytes, found {len(self.blob)}")
+        self.off = end
+        return end - size
+
+
 def load_cache(path) -> Dataset:
     """Inverse of save_cache; the round trip is bit exact."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
+    reader = _ByteReader(path)
+    blob, take = reader.blob, reader.take
     if blob[:5] != CACHE_MAGIC:
         raise IngestError(f"{path}: not a dataset cache (bad magic)")
-    off = 5
-    n, p = struct.unpack_from("<QQ", blob, off)
-    off += 16
-    x = np.frombuffer(blob, dtype="<f8", count=n * p, offset=off).reshape(n, p).copy()
-    off += 8 * n * p
-    y = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    take(5)
+    n, p = struct.unpack_from("<QQ", blob, take(16))
+    x = np.frombuffer(blob, dtype="<f8", count=n * p, offset=take(8 * n * p)).reshape(n, p).copy()
+    y = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()
+    (count,) = struct.unpack_from("<I", blob, take(4))
     names = []
     for _ in range(count):
-        (length,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        names.append(blob[off:off + length].decode("utf-8"))
-        off += length
-    standardized = blob[off] == 1
-    off += 1
+        (length,) = struct.unpack_from("<I", blob, take(4))
+        start = take(length)
+        names.append(blob[start:start + length].decode("utf-8"))
+    standardized = blob[take(1)] == 1
     means = scales = None
     if standardized:
-        means = np.frombuffer(blob, dtype="<f8", count=p, offset=off).copy()
-        off += 8 * p
-        scales = np.frombuffer(blob, dtype="<f8", count=p, offset=off).copy()
-        off += 8 * p
+        means = np.frombuffer(blob, dtype="<f8", count=p, offset=take(8 * p)).copy()
+        scales = np.frombuffer(blob, dtype="<f8", count=p, offset=take(8 * p)).copy()
     y_mean = y_scale = None
-    if blob[off] == 1:
-        off += 1
-        y_mean, y_scale = struct.unpack_from("<dd", blob, off)
-        off += 16
-    else:
-        off += 1
+    if blob[take(1)] == 1:
+        y_mean, y_scale = struct.unpack_from("<dd", blob, take(16))
     return Dataset(x, y, names, standardized=standardized,
                    column_means=means, column_scales=scales,
                    y_mean=y_mean, y_scale=y_scale)

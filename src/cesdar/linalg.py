@@ -11,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import SingularSystemError
 
-__all__ = ["matvec", "gram_submatrix", "spd_solve"]
+__all__ = ["gram_submatrix", "spd_solve"]
 
 # Guard against runaway active sets; |A| stays in the tens in normal use.
 MAX_SPD_DIM = 10_000
@@ -20,17 +20,6 @@ MAX_SPD_DIM = 10_000
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A @ x with shape validation."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 2 or x.ndim != 1:
-        raise ValueError(f"matvec expects a matrix and a vector, got ndim {a.ndim} and {x.ndim}")
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    return a @ x
 
 
 def gram_submatrix(x: np.ndarray, cols, scale: float) -> np.ndarray:

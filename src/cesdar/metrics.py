@@ -219,20 +219,13 @@ def _trial_or_error(args) -> TrialResult:
         )
 
 
-def run_cell(config: ExperimentConfig, algorithm: str | None = None,
-             replicates: int | None = None, jobs: int = 1):
+def run_cell(config: ExperimentConfig, jobs: int = 1):
     """Run one simulation cell; fresh data per replicate, seed base + a.
 
     Returns (MetricsSummary, list[TrialResult]); trials are folded in
     replicate order regardless of how workers finish, so the summary is
     deterministic for a fixed base seed.
     """
-    if algorithm is not None or replicates is not None:
-        config = ExperimentConfig(**{
-            **config.__dict__,
-            **({"algorithm": algorithm} if algorithm else {}),
-            **({"replicates": replicates} if replicates else {}),
-        })
     tasks = [(config, a) for a in range(config.replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -353,13 +346,21 @@ def theory_bounds(sigma: float, sparsity: int, p: int, n: int, alpha: float,
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     if min(sparsity, p, n) < 1:
         raise ValueError("sparsity, p, and n must be positive")
-    if (sparsity - 1) * mu >= 1:
+    bounds = _theory_terms(sigma, sparsity, p, n, alpha, mu)
+    if bounds.gamma_mu is None:
         raise ValueError(f"gamma_mu undefined: (T-1)*mu = {(sparsity - 1) * mu:.4f} >= 1")
+    return bounds
+
+
+def _theory_terms(sigma, sparsity, p, n, alpha, mu) -> TheoryBounds:
+    """The formulas of ``theory_bounds`` unchecked; gamma_mu is None once
+    (T-1) mu >= 1."""
     eta2 = sigma * math.sqrt(2.0 * math.log(p / alpha) / n)
-    eta1 = math.sqrt(sparsity) * eta2
     t_mu = sparsity * mu
-    gamma_mu = (1.0 + 2.0 * t_mu) * t_mu / (1.0 - (sparsity - 1) * mu) + 2.0 * t_mu
-    return TheoryBounds(eta1, eta2, gamma_mu)
+    gamma_mu = None
+    if (sparsity - 1) * mu < 1:
+        gamma_mu = (1.0 + 2.0 * t_mu) * t_mu / (1.0 - (sparsity - 1) * mu) + 2.0 * t_mu
+    return TheoryBounds(math.sqrt(sparsity) * eta2, eta2, gamma_mu)
 
 
 class SrcConstants(NamedTuple):
@@ -443,23 +444,20 @@ def bound_check(beta_hat, truth: GroundTruth, sigma: float, sparsity: int,
     diff = _dense(beta_hat) - truth.dense()
     l2 = float(np.linalg.norm(diff))
     linf = float(np.abs(diff).max())
-    eta2 = sigma * math.sqrt(2.0 * math.log(p / alpha) / n)
-    eta1 = math.sqrt(sparsity) * eta2
+    eta1, eta2, gamma_mu = _theory_terms(sigma, sparsity, p, n, alpha, mu)
     t_mu = sparsity * mu
     t_mu_ok = t_mu <= 0.25
 
-    gamma_mu = linf_bound = None
+    linf_bound = None
     linf_ok = signal_floor_linf_ok = None
-    if (sparsity - 1) * mu < 1.0:
-        gamma_mu = (1.0 + 2.0 * t_mu) * t_mu / (1.0 - (sparsity - 1) * mu) + 2.0 * t_mu
-        if gamma_mu < 1.0:
-            c_mu = 16.0 / (3.0 * (1.0 - gamma_mu)) + 5.0 / 3.0
-            linf_bound = c_mu * eta2
-            if t_mu_ok:
-                linf_ok = linf <= linf_bound
-            if truth.values.size:
-                floor = 4.0 * eta2 / (1.0 - gamma_mu)
-                signal_floor_linf_ok = float(np.abs(truth.values).min()) > floor
+    if gamma_mu is not None and gamma_mu < 1.0:
+        c_mu = 16.0 / (3.0 * (1.0 - gamma_mu)) + 5.0 / 3.0
+        linf_bound = c_mu * eta2
+        if t_mu_ok:
+            linf_ok = linf <= linf_bound
+        if truth.values.size:
+            floor = 4.0 * eta2 / (1.0 - gamma_mu)
+            signal_floor_linf_ok = float(np.abs(truth.values).min()) > floor
 
     gamma = l2_bound = None
     l2_ok = signal_floor_l2_ok = None

@@ -28,10 +28,8 @@ __all__ = [
     "SparseCoefficients",
     "IterState",
     "FitResult",
-    "hard_threshold",
     "detect_active",
     "root_find_local",
-    "dual_and_curvature",
     "esdar_fit",
     "kkt_residual",
 ]
@@ -86,9 +84,6 @@ class SparseCoefficients:
             return self
         return SparseCoefficients(self.dim, self.support[keep], self.values[keep])
 
-    def l0(self) -> int:
-        return int(np.count_nonzero(self.values))
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseCoefficients)
@@ -121,6 +116,8 @@ class FitResult:
     distributed one, master-shard for the low-communication one), with d
     zeroed on the solved active set. ``rel_loss`` is the half-mean-square
     loss relative to the zero solution, so converged fits have it <= 0.
+    ``iterations`` counts the restricted solves run, except on a cycled fit,
+    where it is the index of the returned best iterate.
     """
 
     beta: SparseCoefficients
@@ -136,15 +133,6 @@ class FitResult:
     ledger: object = None
     inner_rounds: list = field(default_factory=list)
     messages: list | None = None
-
-
-def hard_threshold(key: float, value: float, sqrt_2lambda: float) -> float:
-    """Keep-or-kill: ``value`` survives unshrunk iff key >= sqrt_2lambda.
-
-    Boundary equality keeps, so the operator never shrinks a surviving
-    coordinate (what separates the l0 penalty from soft thresholding).
-    """
-    return value if key >= sqrt_2lambda else 0.0
 
 
 class ActiveSelection(NamedTuple):
@@ -199,13 +187,6 @@ def residual_correlation(data: Dataset, beta: SparseCoefficients) -> np.ndarray:
     return data.correlate_residual(residual)
 
 
-def dual_and_curvature(data: Dataset, beta: SparseCoefficients):
-    """Newton step d_i = (x_i'(y - X beta)/n) / g_i and curvature g."""
-    g = data.column_curvature()
-    d = residual_correlation(data, beta) / g
-    return d, g
-
-
 class LocalEngine:
     """Full-data engine backing the single-machine solver."""
 
@@ -254,7 +235,7 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
     rel_loss = 0.0
 
     history: list[np.ndarray] = []
-    seen: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     best = (math.inf, None)
     trace: list[IterState] = []
     iterations = 0
@@ -262,11 +243,10 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
     cycled = False
     jittered = False
     inner_rounds: list[int] = []
-    prev_active = None
 
-    for k in range(cfg.max_iter + 1):
+    for _ in range(cfg.max_iter + 1):
         active, _threshold = detect_active(beta, d, g, cfg.sparsity, cfg.tau)
-        if prev_active is not None and np.array_equal(active, prev_active):
+        if history and np.array_equal(active, history[-1]):
             converged = True
             break
         history.append(active)
@@ -274,7 +254,7 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
         if key in seen:
             cycled = True
             break
-        seen[key] = k
+        seen.add(key)
         if iterations >= cfg.max_iter:
             break
 
@@ -287,16 +267,15 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
         d = raw / g
         d[active] = 0.0
         iterations += 1
-        prev_active = active
         if rel_loss < best[0]:
-            best = (rel_loss, (beta, d.copy(), active, iterations, rel_loss))
+            best = (rel_loss, (beta, d.copy(), iterations, rel_loss))
         if collect_trace:
             trace.append(IterState(beta, d.copy(), g, active, iterations, rel_loss))
 
     if cycled and best[1] is not None:
         # Revisited an earlier active set without stabilizing: return the
         # smallest-loss iterate, flagged not converged.
-        beta, d, _active, iterations, rel_loss = best[1]
+        beta, d, iterations, rel_loss = best[1]
 
     result = FitResult(
         beta=beta.canonical(), iterations=iterations, converged=converged,

@@ -27,6 +27,11 @@ __all__ = ["PathPoint", "hbic", "max_sparsity_cap", "acesdar_fit", "write_path_c
 WARM_START_SLACK = 1e-8
 
 
+def _half_mse_loss(data: Dataset, beta: SparseCoefficients) -> float:
+    residual = data.y - data.x[:, beta.support] @ beta.values
+    return 0.5 * float(residual @ residual) / data.n
+
+
 def hbic(data: Dataset, beta: SparseCoefficients) -> float:
     """log of the mean squared residual plus (log log n * log p / n) |supp|.
 
@@ -35,8 +40,7 @@ def hbic(data: Dataset, beta: SparseCoefficients) -> float:
     """
     if beta.dim != data.p:
         raise ValueError(f"coefficient dimension {beta.dim} does not match p={data.p}")
-    residual = data.y - data.x[:, beta.support] @ beta.values
-    mse = float(residual @ residual) / data.n
+    mse = 2.0 * _half_mse_loss(data, beta)  # exact: scaling by 2 rounds nothing
     size = int(np.count_nonzero(beta.values))
     if mse == 0.0:
         warnings.warn("zero residual: HBIC is -inf (degenerate fit)", stacklevel=2)
@@ -71,11 +75,6 @@ class PathPoint:
     fit: FitResult
 
 
-def _half_mse_loss(data: Dataset, beta: SparseCoefficients) -> float:
-    residual = data.y - data.x[:, beta.support] @ beta.values
-    return 0.5 * float(residual @ residual) / data.n
-
-
 def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
     """Sweep, score, select. Returns (best point, full path).
 
@@ -98,8 +97,7 @@ def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
         sparsity = tune.step * level
         if sparsity > cap:
             break
-        cfg = SolverConfig(sparsity=sparsity, tau=tune.tau,
-                           max_iter=tune.max_iter, kkt_tol=tune.kkt_tol)
+        cfg = SolverConfig(sparsity=sparsity, tau=tune.tau, max_iter=tune.max_iter)
         fit = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace, warm=warm)
         loss = _half_mse_loss(data, fit.beta)
         cold_fallback = False

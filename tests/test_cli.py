@@ -73,6 +73,16 @@ def test_fit_missing_file_is_exit_1(runner, tmp_path):
     assert "nope.bin" in result.output
 
 
+def test_fit_truncated_cache_is_exit_1(runner, tmp_path):
+    cache = gen_cache(runner, tmp_path, n=30, p=4)
+    name_count = 21 + 8 * 30 * 5
+    cache.write_bytes(cache.read_bytes()[:name_count + 2])
+    result = runner.invoke(main, ["fit", "--data", str(cache)])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: fit: ")
+    assert "truncated file" in result.output and "Traceback" not in result.output
+
+
 def test_fit_csv_without_response_is_exit_1(runner, tmp_path):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("a,y\n1,2\n")

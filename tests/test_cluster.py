@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cesdar.cluster import (
     HEADER_BYTES,
@@ -19,7 +22,7 @@ from cesdar.cluster import (
 )
 from cesdar.config import SolverConfig
 from cesdar.data import Dataset, SyntheticSpec, generate
-from cesdar.exceptions import WorkerUnavailableError
+from cesdar.exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
 from cesdar.sdar import esdar_fit, kkt_residual, root_find_local
 
 
@@ -65,11 +68,26 @@ def test_partition_too_many_machines():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_m1_reduction_is_bitwise(seed):
-    data, _ = generate(SyntheticSpec(n=300, p=40, s=5, seed=seed))
-    cfg = SolverConfig(sparsity=5)
+    check_m1_reduction(300, 40, 5, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(10, 200), p=st.integers(1, 40), sparsity=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_m1_reduction_is_bitwise_property(n, p, sparsity, seed):
+    assume(sparsity <= min(p, n // 2))
+    check_m1_reduction(n, p, sparsity, seed)
+
+
+def check_m1_reduction(n, p, sparsity, seed):
+    """At M=1 both distributed fits reproduce ESDAR bit for bit and send nothing."""
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity, seed=seed))
+    cfg = SolverConfig(sparsity=sparsity)
     base = esdar_fit(data, cfg)
-    assert bitwise_equal(cesdar_fit(data, 1, cfg), base)
-    assert bitwise_equal(ecesdar_fit(data, 1, cfg), base)
+    for fitter in (cesdar_fit, ecesdar_fit):
+        result = fitter(data, 1, cfg)
+        assert bitwise_equal(result, base)
+        assert result.ledger.entries == []
 
 
 def test_m1_runs_produce_no_messages():
@@ -117,9 +135,7 @@ def test_surrogate_identical_shards_equals_local():
     tiled = Dataset(np.tile(block.x, (4, 1)), np.tile(block.y, 4))
     cluster = SimulatedCluster(tiled, 4)
     active = np.array([1, 5, 8])
-    cfg = SolverConfig(sparsity=3)
-    beta, _, rounds, ok = surrogate_root_find(cluster, active, cfg,
-                                              cluster.collect_curvature())
+    beta, _, rounds, ok = surrogate_root_find(cluster, active, cluster.collect_curvature())
     local, _ = root_find_local(block, active)
     assert ok
     assert np.abs(beta.dense() - local.dense()).max() <= 1e-12
@@ -129,9 +145,7 @@ def test_surrogate_close_to_global_least_squares():
     data, _ = generate(SyntheticSpec(n=400, p=20, s=3, seed=8))
     cluster = SimulatedCluster(data, 4)
     active = np.array([2, 9, 14])
-    cfg = SolverConfig(sparsity=3)
-    beta, _, _, ok = surrogate_root_find(cluster, active, cfg,
-                                         cluster.collect_curvature())
+    beta, _, _, ok = surrogate_root_find(cluster, active, cluster.collect_curvature())
     oracle, _ = root_find_local(data, active)
     gap = np.linalg.norm(beta.dense() - oracle.dense())
     assert ok
@@ -143,8 +157,7 @@ def test_surrogate_empty_active_set():
     data, _ = generate(SyntheticSpec(n=50, p=5, s=1, seed=9))
     cluster = SimulatedCluster(data, 2)
     beta, jittered, rounds, ok = surrogate_root_find(
-        cluster, np.array([], dtype=np.int64), SolverConfig(sparsity=1),
-        cluster.collect_curvature())
+        cluster, np.array([], dtype=np.int64), cluster.collect_curvature())
     assert beta.support.size == 0 and ok and rounds == 0
 
 
@@ -295,6 +308,37 @@ def test_worker_failure_is_fail_stop():
     with pytest.raises(WorkerUnavailableError) as err:
         cesdar_fit(data, 4, SolverConfig(sparsity=2), fail_worker=2)
     assert err.value.worker == 2
+
+
+def test_master_shard_zero_column():
+    # Column 7 is zero on the master's 100 rows only, so the full-data
+    # validation passes. ECESDAR detects with master-shard curvature, which
+    # is 0 there, and must refuse; CESDAR's combined curvature stays positive.
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=0))
+    x = data.x.copy()
+    x[:100, 7] = 0.0
+    data = Dataset(x, data.y)
+    cfg = SolverConfig(sparsity=4)
+    with pytest.raises(DegenerateColumnError, match="column 7 .* machine 0") as info:
+        ecesdar_fit(data, 4, cfg)
+    assert info.value.column == "x7"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = cesdar_fit(data, 4, cfg)
+    assert np.all(np.isfinite(result.d)) and np.all(result.g > 0)
+
+
+@pytest.mark.parametrize("cut", ["inside_header", "after_header", "mid_message"])
+def test_truncated_message_log_is_ingest_error(tmp_path, cut):
+    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
+    result = cesdar_fit(data, 3, SolverConfig(sparsity=2), log_messages=True)
+    path = tmp_path / "messages.bin"
+    write_message_log(path, result.messages)
+    blob = path.read_bytes()
+    size = {"inside_header": 3, "after_header": 5, "mid_message": len(blob) - 13}[cut]
+    path.write_bytes(blob[:size])
+    with pytest.raises(IngestError, match=rf"messages\.bin: truncated .* found {size}$"):
+        read_message_log(path)
 
 
 def test_message_log_round_trip(tmp_path):

@@ -242,6 +242,46 @@ def test_cache_rejects_bad_magic(tmp_path):
         load_cache(path)
 
 
+def _cache_sections(n, p, names):
+    """Byte offset where each section of a standardized cache starts."""
+    offsets = {"dims": 5, "x": 21, "y": 21 + 8 * n * p, "name_count": 21 + 8 * n * (p + 1)}
+    off = offsets["name_count"] + 4
+    for j, name in enumerate(names):
+        offsets[f"name{j}_length"] = off
+        offsets[f"name{j}_bytes"] = off + 4
+        off += 4 + len(name.encode("utf-8"))
+    offsets["scaling_flag"] = off
+    offsets["means"] = off + 1
+    offsets["scales"] = off + 1 + 8 * p
+    offsets["response_flag"] = off + 1 + 16 * p
+    offsets["response_scaling"] = off + 2 + 16 * p
+    return offsets, off + 18 + 16 * p
+
+
+@pytest.mark.parametrize("section", [
+    "dims", "x", "y", "name_count", "name0_length", "name0_bytes", "name1_length",
+    "scaling_flag", "means", "scales", "response_flag", "response_scaling",
+    "inside_name_count", "inside_name_bytes",
+])
+def test_truncated_cache_is_ingest_error(tmp_path, section):
+    x = np.random.default_rng(1).standard_normal((6, 2))
+    data = Dataset(x, x[:, 0], feature_names=["alpha", "beta"], standardized=True,
+                   column_means=np.zeros(2), column_scales=np.ones(2),
+                   y_mean=0.5, y_scale=2.0)
+    path = tmp_path / "cut.bin"
+    save_cache(path, data)
+    blob = path.read_bytes()
+    offsets, total = _cache_sections(6, 2, data.feature_names)
+    assert len(blob) == total
+    inside = {"inside_name_count": offsets["name_count"] + 2,
+              "inside_name_bytes": offsets["name0_bytes"] + 3}
+    size = inside.get(section, offsets.get(section))
+    path.write_bytes(blob[:size])
+    with pytest.raises(IngestError, match=rf"cut\.bin: truncated file: expected at least "
+                                          rf"\d+ bytes, found {size}$"):
+        load_cache(path)
+
+
 def test_dataset_rejects_zero_norm_column():
     with pytest.raises(DegenerateColumnError):
         Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2))

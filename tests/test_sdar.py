@@ -2,17 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from cesdar.config import SolverConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
 from cesdar.sdar import (
     SparseCoefficients,
     detect_active,
-    dual_and_curvature,
     esdar_fit,
-    hard_threshold,
     kkt_residual,
+    residual_correlation,
     root_find_local,
 )
 
@@ -20,26 +18,6 @@ from cesdar.sdar import (
 def orthogonal_design(n, p, seed=0):
     q, _ = np.linalg.qr(stream_rng(seed, "data").standard_normal((n, p)))
     return q * np.sqrt(n)
-
-
-# --- hard threshold -------------------------------------------------------
-
-def test_hard_threshold_keeps_above():
-    assert hard_threshold(2.0, 1.7, 1.5) == 1.7
-
-
-def test_hard_threshold_kills_below():
-    assert hard_threshold(1.0, 1.7, 1.5) == 0.0
-
-
-def test_hard_threshold_boundary_keeps():
-    assert hard_threshold(1.5, -0.3, 1.5) == -0.3
-
-
-@given(st.floats(0, 1e6), st.floats(-1e6, 1e6), st.floats(0, 1e6))
-def test_hard_threshold_never_shrinks(key, value, threshold):
-    out = hard_threshold(key, value, threshold)
-    assert out == (value if key >= threshold else 0.0)
 
 
 # --- active-set detection -------------------------------------------------
@@ -125,7 +103,8 @@ def test_dual_at_zero_is_univariate_slope():
     x = rng.standard_normal((30, 5))
     y = rng.standard_normal(30)
     data = Dataset(x, y)
-    d, g = dual_and_curvature(data, SparseCoefficients.zeros(5))
+    g = data.column_curvature()
+    d = residual_correlation(data, SparseCoefficients.zeros(5)) / g
     for j in range(5):
         assert d[j] == pytest.approx(x[:, j] @ y / (x[:, j] @ x[:, j]), rel=1e-12)
     assert np.allclose(g, np.einsum("ij,ij->j", x, x) / 30.0)
@@ -136,7 +115,7 @@ def test_dual_zero_at_perfect_fit():
     x = rng.standard_normal((20, 4))
     beta = SparseCoefficients.from_dense(np.array([1.0, 0.0, -2.0, 0.0]))
     data = Dataset(x, x @ beta.dense())
-    d, _ = dual_and_curvature(data, beta)
+    d = residual_correlation(data, beta) / data.column_curvature()
     assert np.abs(d).max() <= 1e-12
 
 
@@ -145,7 +124,7 @@ def test_curvature_all_ones_when_standardized():
     x = rng.standard_normal((50, 3))
     x = x / np.sqrt(np.einsum("ij,ij->j", x, x) / 50.0)
     data = Dataset(x, rng.standard_normal(50))
-    _, g = dual_and_curvature(data, SparseCoefficients.zeros(3))
+    g = data.column_curvature()
     assert np.allclose(g, 1.0, atol=1e-12)
 
 
