@@ -20,7 +20,9 @@ Per outer iteration on active set A:
   |A| reals), collect local gradients on A (ReportGradient, |A| reals),
   take a Newton step preconditioned by the master-shard Gram} until the
   sample-weighted global gradient vanishes on A. Both distributed
-  variants share this step.
+  variants share this step. Beside its coefficients, a worker keeps its
+  shard's normal equations on the last active set and answers anchors
+  from them; these aggregates of its own rows never leave the machine.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
@@ -43,9 +45,10 @@ import numpy as np
 
 from .config import SolverConfig
 from .data import Dataset, _ByteReader
-from .exceptions import DegenerateColumnError, WorkerUnavailableError
-from .linalg import gram_submatrix, spd_solve
-from .sdar import FitResult, SparseCoefficients, _sdar_loop, residual_correlation
+from .exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
+from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
+from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
+                   residual_correlation)
 
 __all__ = [
     "MESSAGE_KINDS",
@@ -217,8 +220,10 @@ def partition(data: Dataset, machines: int):
 class _RemoteWorker:
     """One simulated worker: owns a shard, reacts to inbound messages.
 
-    State is limited to the shard and the current coefficient vector
-    (initialized to zero on both sides of the protocol).
+    State is the shard, the current coefficient vector (initialized to zero
+    on both sides of the protocol) and the shard's normal equations on the
+    last anchored active set, aggregates of its own rows that never leave
+    the machine and answer each anchor on that set with one |A|x|A| product.
     """
 
     def __init__(self, worker_id: int, shard: Dataset):
@@ -227,6 +232,7 @@ class _RemoteWorker:
         self.outbox: deque[WorkerMessage] = deque()
         self.failed = False
         self._beta = SparseCoefficients.zeros(shard.p)
+        self._normal_key = self._normal = None
 
     def check_alive(self) -> None:
         if self.failed:
@@ -236,10 +242,11 @@ class _RemoteWorker:
 
     def handle(self, message: WorkerMessage) -> None:
         if message.kind == "BroadcastAnchor":
-            point = message.reals
-            cols = message.indices
-            fitted = self.shard.x[:, cols] @ point - self.shard.y
-            grad = self.shard.x[:, cols].T @ fitted / self.shard.n
+            key = message.indices.tobytes()  # the index content, not just |A|
+            if key != self._normal_key:
+                self._normal_key, self._normal = key, normal_equations(self.shard, message.indices)
+            gram, rhs = self._normal
+            grad = gram @ message.reals - rhs
             self.outbox.append(WorkerMessage("ReportGradient", np.empty(0, np.int64), grad))
         elif message.kind == "BroadcastActiveSet":
             self._beta = SparseCoefficients(self.shard.p, message.indices, message.reals)
@@ -304,8 +311,9 @@ class SimulatedCluster:
         return message
 
     def broadcast(self, kind: str, indices: np.ndarray, reals: np.ndarray) -> None:
+        message = WorkerMessage(kind, indices, reals)
         for worker in self.workers:
-            self._send(worker, WorkerMessage(kind, indices, reals), indices.size)
+            self._send(worker, message, indices.size)
 
     def collect_gradients(self, active: np.ndarray) -> list[np.ndarray]:
         """ReportGradient payloads in worker-index order."""
@@ -344,9 +352,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     p = cluster.p
     if active.size == 0:
         return SparseCoefficients.zeros(p), False, 0, True
-    shard = cluster.master_shard
-    gram = gram_submatrix(shard.x, active, float(shard.n))
-    rhs = shard.x[:, active].T @ shard.y / shard.n
+    gram, rhs = normal_equations(cluster.master_shard, active)
     point, jittered = spd_solve(gram, rhs, active_set=active)
 
     g_active = curvature[active]
@@ -500,17 +506,34 @@ def write_message_log(path, messages) -> None:
 
 
 def read_message_log(path) -> list[WorkerMessage]:
+    """Inverse of write_message_log; IngestError on a truncated or corrupt record."""
     tags = {tag: kind for kind, tag in _KIND_TAGS.items()}
     messages = []
     reader = _ByteReader(path)
     blob = reader.blob
     while reader.off < len(blob):
+        start = reader.off
         tag, length = struct.unpack_from("<BI", blob, reader.take(5))
         off = reader.take(length)
-        (n_idx,) = struct.unpack_from("<Q", blob, off)
+        n_idx = struct.unpack_from("<Q", blob, off)[0] if length >= 8 else 0
+        n_reals = (length - 8) // 8 - n_idx
+        problem = _record_problem(tags.get(tag), tag, length, n_idx, n_reals)
+        if problem:
+            raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
         indices = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off + 8)
-        reals_off = off + 8 + 8 * n_idx
-        n_reals = (length - 8 - 8 * n_idx) // 8
-        reals = np.frombuffer(blob, dtype="<f8", count=n_reals, offset=reals_off)
+        reals = np.frombuffer(blob, dtype="<f8", count=n_reals, offset=off + 8 + 8 * n_idx)
         messages.append(WorkerMessage(tags[tag], indices.astype(np.int64), reals.copy()))
     return messages
+
+
+def _record_problem(kind, tag: int, length: int, n_idx: int, n_reals: int) -> str | None:
+    """Why a log record's header cannot be a protocol message, or None."""
+    if kind is None:
+        return f"unknown kind tag {tag}"
+    if length < 8 or length % 8 or n_reals < 0:
+        return f"a {length}-byte payload cannot hold a count and {n_idx} indices"
+    idx_shape, real_shape = PROTOCOL_SHAPES[kind]
+    if ((idx_shape == "none" and n_idx) or (real_shape == "none" and n_reals)
+            or (idx_shape == real_shape == "active" and n_idx != n_reals)):
+        return f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
+    return None

@@ -29,6 +29,7 @@ __all__ = [
     "IterState",
     "FitResult",
     "detect_active",
+    "normal_equations",
     "root_find_local",
     "esdar_fit",
     "kkt_residual",
@@ -163,6 +164,13 @@ def detect_active(beta: SparseCoefficients, d: np.ndarray, g: np.ndarray,
     return ActiveSelection(np.sort(chosen), threshold)
 
 
+def normal_equations(data: Dataset, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X_A'X_A/n, X_A'y/n): the least-squares system of ``data`` on ``active``."""
+    gram = gram_submatrix(data.x, active, float(data.n))
+    rhs = data.x[:, active].T @ data.y / data.n
+    return gram, rhs
+
+
 def root_find_local(data: Dataset, active) -> tuple[SparseCoefficients, bool]:
     """Least squares restricted to ``active``: (X_A'X_A/n) b = X_A'y/n.
 
@@ -172,8 +180,7 @@ def root_find_local(data: Dataset, active) -> tuple[SparseCoefficients, bool]:
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
         return SparseCoefficients.zeros(data.p), False
-    gram = gram_submatrix(data.x, active, float(data.n))
-    rhs = data.x[:, active].T @ data.y / data.n
+    gram, rhs = normal_equations(data, active)
     solution, jittered = spd_solve(gram, rhs, active_set=active)
     return SparseCoefficients(data.p, active, solution), jittered
 

@@ -1,8 +1,9 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cesdar.cluster import (
     HEADER_BYTES,
@@ -161,6 +162,38 @@ def test_surrogate_empty_active_set():
     assert beta.support.size == 0 and ok and rounds == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 200), p=st.integers(2, 30), size=st.integers(1, 8),
+       machines=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_anchor_gradients_match_direct_formula(n, p, size, machines, seed, scale):
+    # Workers answer anchors from normal equations cached per active set; the
+    # answer must be the direct X_A'(X_A b - y)/n_m on the anchor's own set,
+    # also after an anchor on another set of the same size. The tolerance is
+    # relative to the size of the summed terms: near the least-squares point
+    # the gradient itself cancels to far below them.
+    assume(size < p)
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
+    cluster = SimulatedCluster(data, machines)
+    _, shards = partition(data, machines)
+    rng = np.random.default_rng(seed)
+    first = np.sort(rng.choice(p, size, replace=False))
+    second = np.sort((first + 1) % p)  # differs from first whenever size < p
+    point = scale * rng.standard_normal(size)
+    answers = []
+    for active in (first, second, first):
+        cluster.broadcast("BroadcastAnchor", active, point)
+        grads = cluster.collect_gradients(active)
+        for shard, grad in zip(shards[1:], grads):
+            x_a = shard.x[:, active]
+            direct = x_a.T @ (x_a @ point - shard.y) / shard.n
+            terms = np.abs(x_a).T @ (np.abs(x_a) @ np.abs(point) + np.abs(shard.y)) / shard.n
+            assert np.abs(grad - direct).max() <= 1e-12 * terms.max()
+        answers.append(grads)
+    for again, original in zip(answers[2], answers[0]):
+        assert np.array_equal(again, original)
+
+
 # --- fixed points ------------------------------------------------------------
 
 def test_kkt_with_averaged_quantities_at_convergence():
@@ -213,9 +246,13 @@ def expected_ledger(result, machines, p, sparsity, algo):
 
 
 @pytest.mark.parametrize("algo,fitter", [("cesdar", cesdar_fit), ("ecesdar", ecesdar_fit)])
-def test_ledger_matches_protocol_replay(algo, fitter):
-    data, _ = generate(SyntheticSpec(n=300, p=40, s=4, seed=10))
-    machines, sparsity = 3, 4
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 400), p=st.integers(1, 60), machines=st.integers(2, 6),
+       sparsity=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(n=300, p=40, machines=3, sparsity=4, seed=10)
+def test_ledger_matches_protocol_replay(algo, fitter, n, p, machines, sparsity, seed):
+    assume(sparsity <= p and n // machines >= 2 * sparsity)
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity, seed=seed))
     result = fitter(data, machines, SolverConfig(sparsity=sparsity))
     actual = [(e.iteration, e.kind, e.direction, e.n_indices, e.n_reals, e.worker)
               for e in result.ledger.entries]
@@ -338,6 +375,40 @@ def test_truncated_message_log_is_ingest_error(tmp_path, cut):
     size = {"inside_header": 3, "after_header": 5, "mid_message": len(blob) - 13}[cut]
     path.write_bytes(blob[:size])
     with pytest.raises(IngestError, match=rf"messages\.bin: truncated .* found {size}$"):
+        read_message_log(path)
+
+
+def _record_offsets(blob):
+    """Byte offset of every record in a message log."""
+    offsets, off = [], 0
+    while off < len(blob):
+        offsets.append(off)
+        off += 5 + struct.unpack_from("<I", blob, off + 1)[0]
+    return offsets
+
+
+# Each case overwrites one header field of the first record of a kind:
+# the 1-byte tag at +0, the 4-byte length at +1 or the index count at +5.
+@pytest.mark.parametrize("kind,fmt,field,value,problem", [
+    ("ReportCurvature", "<B", 0, 99, "unknown kind tag 99"),
+    ("ReportCurvature", "<I", 1, 4, "a 4-byte payload cannot hold"),
+    ("ReportCurvature", "<Q", 5, 10**6,
+     "a 248-byte payload cannot hold a count and 1000000 indices"),
+    ("ReportCurvature", "<Q", 5, 3, "ReportCurvature with 3 indices and 27 reals is off protocol"),
+    ("BroadcastAnchor", "<Q", 5, 3, "BroadcastAnchor with 3 indices and 5 reals is off protocol"),
+], ids=["kind_tag", "short_length", "index_overrun", "indices_on_report", "anchor_mismatch"])
+def test_corrupt_message_log_is_ingest_error(tmp_path, kind, fmt, field, value, problem):
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=0))
+    result = cesdar_fit(data, 4, SolverConfig(sparsity=4), log_messages=True)
+    path = tmp_path / "messages.bin"
+    write_message_log(path, result.messages)
+    blob = bytearray(path.read_bytes())
+    number = next(i for i, m in enumerate(result.messages) if m.kind == kind)
+    at = _record_offsets(blob)[number]
+    struct.pack_into(fmt, blob, at + field, value)
+    path.write_bytes(bytes(blob))
+    where = rf"messages\.bin: record {number} at byte {at}: "
+    with pytest.raises(IngestError, match=where + problem):
         read_message_log(path)
 
 
