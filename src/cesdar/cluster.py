@@ -10,8 +10,10 @@ ledger).
 Protocol
 --------
 Setup (distributed variant only): every worker reports its per-column
-curvature once (ReportCurvature, p reals); the master combines the reports
-with its own shard's curvature using sample-size weights n_m/N.
+curvature (ReportCurvature, p reals) and its raw dual at zero (the empty
+BroadcastActiveSet, then ReportDual); the master combines the reports with
+its own shard's using sample-size weights n_m/N. Both are per dataset, so a
+cluster collects each once and every fit run on it shares them.
 
 Per outer iteration on active set A:
 
@@ -31,8 +33,8 @@ Per outer iteration on active set A:
   both messages and uses master-shard curvature and duals instead.
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
-Workers start from the all-zero coefficient vector, so no initial
-coefficient broadcast is needed. With M=1 there are no messages at all and
+Every dual request carries its iterate, so no fit needs to reset the
+workers' coefficients first. With M=1 there are no messages at all and
 the run is bitwise identical to the single-machine solver.
 """
 from __future__ import annotations
@@ -263,7 +265,7 @@ class _RemoteWorker:
 
 
 class SimulatedCluster:
-    """Master-side driver around the remote workers of one run."""
+    """Master-side driver around the remote workers; fits may share it (see Setup)."""
 
     def __init__(self, data: Dataset, machines: int, fail_worker=None,
                  log_messages: bool = False):
@@ -280,6 +282,7 @@ class SimulatedCluster:
         self.ledger = CommLedger()
         self.iteration = 0
         self.messages: list[WorkerMessage] | None = [] if log_messages else None
+        self._curvature = self._zero_dual = None
 
     @property
     def machines(self) -> int:
@@ -331,6 +334,26 @@ class SimulatedCluster:
             message = self._receive(worker, "ReportCurvature", 0)
             total = total + self.weights[idx] * message.reals
         return total
+
+    def curvature(self) -> np.ndarray:
+        if self._curvature is None:
+            self._curvature = self.collect_curvature()
+            self._curvature.flags.writeable = False
+        return self._curvature
+
+    def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
+        """Sample-weighted X'(y - X beta)/N; the zero point's is exchanged once."""
+        if beta.support.size == 0 and self._zero_dual is not None:
+            return self._zero_dual
+        combined = self.weights[0] * residual_correlation(self.master_shard, beta)
+        # Ship the iterate, then every worker reports its raw dual there.
+        self.broadcast("BroadcastActiveSet", beta.support, beta.values)
+        for w_idx, raw in enumerate(self.collect_duals(), start=1):
+            combined = combined + self.weights[w_idx] * raw
+        if beta.support.size == 0:
+            combined.flags.writeable = False
+            self._zero_dual = combined
+        return combined
 
 
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
@@ -400,21 +423,12 @@ class _ClusterEngine:
         self.cluster = cluster
         self.p = cluster.p
         self.surrogate_ok = True
-        self._g = None
 
     def curvature(self) -> np.ndarray:
-        if self._g is None:
-            self._g = self.cluster.collect_curvature()
-        return self._g
+        return self.cluster.curvature()
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
-        cluster = self.cluster
-        combined = cluster.weights[0] * residual_correlation(cluster.master_shard, beta)
-        # Ship the iterate, then every worker reports its raw dual there.
-        cluster.broadcast("BroadcastActiveSet", beta.support, beta.values)
-        for w_idx, raw in enumerate(cluster.collect_duals(), start=1):
-            combined = combined + cluster.weights[w_idx] * raw
-        return combined
+        return self.cluster.raw_dual(beta)
 
     def root_find(self, active: np.ndarray):
         self.cluster.iteration += 1
@@ -437,6 +451,8 @@ class _MasterOnlyEngine(_ClusterEngine):
     per-iteration worker traffic is O(|A|) reals instead of O(p).
     """
 
+    _g = None
+
     def curvature(self) -> np.ndarray:
         if self._g is None:
             shard = self.cluster.master_shard
@@ -457,11 +473,19 @@ class _MasterOnlyEngine(_ClusterEngine):
 
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,
                      collect_trace: bool, fail_worker, log_messages: bool,
-                     warm) -> FitResult:
+                     warm, cluster=None) -> FitResult:
     if cfg.sparsity > data.p:
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
-    cluster = SimulatedCluster(data, machines, fail_worker=fail_worker,
-                               log_messages=log_messages)
+    if cluster is None:
+        cluster = SimulatedCluster(data, machines, fail_worker=fail_worker,
+                                   log_messages=log_messages)
+    elif cluster.data is not data or cluster.machines != machines:
+        raise ValueError("cluster= was built on another dataset or machine count")
+    elif fail_worker is not None or log_messages:
+        raise ValueError("fail_worker and log_messages belong to the cluster, not beside cluster=")
+    else:
+        cluster.ledger, cluster.iteration = CommLedger(), 0  # per-fit traffic only
+        cluster.messages = None if cluster.messages is None else []
     engine = engine_cls(cluster)
     result = _sdar_loop(engine, cfg, collect_trace, warm=warm)
     if not engine.surrogate_ok:
@@ -473,15 +497,19 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
 
 def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig,
                collect_trace: bool = False, fail_worker=None,
-               log_messages: bool = False, warm=None) -> FitResult:
+               log_messages: bool = False, warm=None, cluster=None) -> FitResult:
     """Distributed fit with sample-weighted averaged curvature and duals.
 
     With machines=1 the output is bitwise identical to the single-machine
     solver: the loop, the detection keys, and the restricted solves all run
     through the same code on the same arrays.
+
+    ``cluster`` reuses a ``SimulatedCluster`` built on this ``data`` object and
+    ``machines`` (ValueError otherwise, or beside ``fail_worker``/``log_messages``).
+    Same output; the fit's ledger omits set-up already exchanged on that cluster.
     """
     return _distributed_fit(_ClusterEngine, data, machines, cfg,
-                            collect_trace, fail_worker, log_messages, warm)
+                            collect_trace, fail_worker, log_messages, warm, cluster)
 
 
 def ecesdar_fit(data: Dataset, machines: int, cfg: SolverConfig,
@@ -495,7 +523,8 @@ def ecesdar_fit(data: Dataset, machines: int, cfg: SolverConfig,
 def write_message_log(path, messages) -> None:
     """Binary log: per message a 1-byte kind tag, a 4-byte little-endian
     payload length, then the payload as 8-byte words (index count, indices
-    as unsigned, reals as doubles)."""
+    as unsigned, reals as doubles). An end record closes it: tag 0, which
+    no kind uses, and an 8-byte payload holding the message count."""
     with open(path, "wb") as out:
         for message in messages:
             payload = struct.pack("<Q", message.n_indices)
@@ -503,10 +532,12 @@ def write_message_log(path, messages) -> None:
             payload += np.ascontiguousarray(message.reals, dtype="<f8").tobytes()
             out.write(struct.pack("<BI", _KIND_TAGS[message.kind], len(payload)))
             out.write(payload)
+        out.write(struct.pack("<BIQ", 0, 8, len(messages)))
 
 
 def read_message_log(path) -> list[WorkerMessage]:
-    """Inverse of write_message_log; IngestError on a truncated or corrupt record."""
+    """Inverse of write_message_log; IngestError on a truncated or corrupt
+    record, a missing or miscounting end record, or bytes after it."""
     tags = {tag: kind for kind, tag in _KIND_TAGS.items()}
     messages = []
     reader = _ByteReader(path)
@@ -517,13 +548,18 @@ def read_message_log(path) -> list[WorkerMessage]:
         off = reader.take(length)
         n_idx = struct.unpack_from("<Q", blob, off)[0] if length >= 8 else 0
         n_reals = (length - 8) // 8 - n_idx
+        if tag == 0 and length == 8:  # the end record
+            if n_idx != len(messages) or reader.off < len(blob):
+                raise IngestError(f"{path}: end record at byte {start} counts {n_idx} messages "
+                                  f"of {len(messages)}, then {len(blob) - reader.off} bytes follow")
+            return messages
         problem = _record_problem(tags.get(tag), tag, length, n_idx, n_reals)
         if problem:
             raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
         indices = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off + 8)
         reals = np.frombuffer(blob, dtype="<f8", count=n_reals, offset=off + 8 + 8 * n_idx)
         messages.append(WorkerMessage(tags[tag], indices.astype(np.int64), reals.copy()))
-    return messages
+    raise IngestError(f"{path}: the log ends after {len(messages)} messages, without an end record")
 
 
 def _record_problem(kind, tag: int, length: int, n_idx: int, n_reals: int) -> str | None:

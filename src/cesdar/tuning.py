@@ -5,7 +5,8 @@ floor(n / (log(log n) * log p)) (n is the master-shard size), warm-starting
 every fit from the previous path point. Each warm fit is checked against a
 cold start and the better of the two (by half-mean-square loss) is kept, so
 warm starting can never worsen a path point. The point with the smallest
-HBIC wins; ties go to the smaller T.
+HBIC wins; ties go to the smaller T. One cluster serves every fit of a path,
+so its set-up exchanges are made once, in the first point's fit and ledger.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import cesdar_fit
+from .cluster import SimulatedCluster, cesdar_fit
 from .config import SolverConfig, TuningConfig
 from .data import Dataset
 from .exceptions import ConfigurationError
@@ -89,6 +90,7 @@ def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
             f"empty path: cap {cap} is below the step {tune.step}; set j_override"
         )
 
+    cluster = SimulatedCluster(data, tune.machines)
     path: list[PathPoint] = []
     warm = None
     best = None
@@ -98,11 +100,13 @@ def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
         if sparsity > cap:
             break
         cfg = SolverConfig(sparsity=sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        fit = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace, warm=warm)
+        fit = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace, warm=warm,
+                         cluster=cluster)
         loss = _half_mse_loss(data, fit.beta)
         cold_fallback = False
         if warm is not None:
-            cold = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace)
+            cold = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace,
+                              cluster=cluster)
             cold_loss = _half_mse_loss(data, cold.beta)
             if loss > cold_loss + WARM_START_SLACK:
                 fit, loss, cold_fallback = cold, cold_loss, True

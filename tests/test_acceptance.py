@@ -29,7 +29,7 @@ from cesdar.metrics import (
     theory_bounds,
 )
 from cesdar.sdar import esdar_fit, kkt_residual, root_find_local
-from cesdar.tuning import acesdar_fit
+from cesdar.tuning import acesdar_fit, hbic
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -273,25 +273,54 @@ def test_criterion_7_privacy_invariant():
 
 # -- 8 ------------------------------------------------------------------------
 
+def _hbic_oracle_size(data, support):
+    """Size of the smallest-HBIC set among the true support S*, S* plus the
+    column whose addition cuts the full-sample RSS most, and S* minus the
+    column whose removal costs least, each fitted by full-sample least
+    squares. Ties go to the smaller set, as on the path."""
+    def fitted(active):
+        return root_find_local(data, np.sort(active))[0]
+
+    def rss(beta):
+        resid = data.y - data.x @ beta.dense()
+        return float(resid @ resid)
+
+    base = fitted(support)
+    resid = data.y - data.x @ base.dense()
+    outside = np.setdiff1d(np.arange(data.p), support)
+    x_out = data.x[:, outside]
+    q, _ = np.linalg.qr(data.x[:, support])
+    # RSS drop of adding column j: (x_j'r)^2 / |x_j off span(X_S*)|^2.
+    off_span = np.einsum("ij,ij->j", x_out, x_out) - np.sum((q.T @ x_out) ** 2, axis=0)
+    grown = fitted(np.append(support, outside[np.argmax((x_out.T @ resid) ** 2 / off_span)]))
+    shrunk = min((fitted(np.delete(support, k)) for k in range(support.size)), key=rss)
+    scored = [(hbic(data, beta), size) for beta, size in
+              ((shrunk, support.size - 1), (base, support.size), (grown, support.size + 1))]
+    return min(scored)[1]
+
+
 def test_criterion_8_acesdar_selection():
     base_seed = 8000
     hits_e1 = 0
     hits_e2 = 0
+    oracle_agrees = 0
     picks_e1 = {}
     picks_e2 = {}
     for i in range(100):
         spec = SyntheticSpec(n=2000, p=4000, s=10, seed=base_seed + i)
-        data, _ = generate(spec)
+        data, truth = generate(spec)
         best1, _ = acesdar_fit(data, TuningConfig(step=1, machines=4))
         picks_e1[best1.sparsity] = picks_e1.get(best1.sparsity, 0) + 1
         hits_e1 += 1 if best1.sparsity == 10 else 0
+        oracle_agrees += _hbic_oracle_size(data, truth.support) == best1.sparsity
         best2, _ = acesdar_fit(data, TuningConfig(step=2, machines=4))
         picks_e2[best2.sparsity] = picks_e2.get(best2.sparsity, 0) + 1
         hits_e2 += 1 if best2.sparsity in (10, 12) else 0
     passed_e1 = hits_e1 >= 90
     passed_e2 = hits_e2 >= 90
     report(8, "adaptive sparsity selection", passed_e1 and passed_e2,
-           f"step=1: T-hat=s in {hits_e1}/100 (need >= 90), picks {dict(sorted(picks_e1.items()))}; "
+           f"step=1: T-hat=s in {hits_e1}/100 (need >= 90), picks {dict(sorted(picks_e1.items()))}, "
+           f"equal to the HBIC oracle's size over S*-1, S*, S*+1 in {oracle_agrees}/100; "
            f"step=2: T-hat in {{10,12}} in {hits_e2}/100, picks {dict(sorted(picks_e2.items()))}")
     assert passed_e2, "step=2 selection fell below 90/100"
     assert passed_e1, (

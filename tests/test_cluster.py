@@ -372,7 +372,8 @@ def test_truncated_message_log_is_ingest_error(tmp_path, cut):
     path = tmp_path / "messages.bin"
     write_message_log(path, result.messages)
     blob = path.read_bytes()
-    size = {"inside_header": 3, "after_header": 5, "mid_message": len(blob) - 13}[cut]
+    last_message = _record_offsets(blob)[-2]  # the last record is the end record
+    size = {"inside_header": 3, "after_header": 5, "mid_message": last_message + 32}[cut]
     path.write_bytes(blob[:size])
     with pytest.raises(IngestError, match=rf"messages\.bin: truncated .* found {size}$"):
         read_message_log(path)
@@ -385,6 +386,43 @@ def _record_offsets(blob):
         offsets.append(off)
         off += 5 + struct.unpack_from("<I", blob, off + 1)[0]
     return offsets
+
+
+def _write_small_log(tmp_path, machines=3):
+    """Message log of a small CESDAR fit; returns its path and messages."""
+    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
+    result = cesdar_fit(data, machines, SolverConfig(sparsity=2), log_messages=True)
+    path = tmp_path / "messages.bin"
+    write_message_log(path, result.messages)
+    return path, result.messages
+
+
+def test_message_log_cut_at_any_record_boundary_is_ingest_error(tmp_path):
+    path, messages = _write_small_log(tmp_path)
+    blob = path.read_bytes()
+    offsets = _record_offsets(blob)
+    assert len(offsets) == len(messages) + 1
+    for size in offsets:
+        path.write_bytes(blob[:size])
+        with pytest.raises(IngestError, match=rf"ends after {offsets.index(size)} messages"):
+            read_message_log(path)
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda blob: blob[:-8] + struct.pack("<Q", 71), "counts 71 messages of 72, then 0 bytes"),
+    (lambda blob: blob + b"\0", "counts 72 messages of 72, then 1 bytes follow"),
+], ids=["wrong_count", "bytes_after_end"])
+def test_message_log_end_record_is_checked(tmp_path, edit, problem):
+    path, messages = _write_small_log(tmp_path)
+    assert len(messages) == 72
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(IngestError, match=rf"messages\.bin: end record at byte \d+ {problem}"):
+        read_message_log(path)
+
+
+def test_empty_message_log_round_trips(tmp_path):
+    path, messages = _write_small_log(tmp_path, machines=1)
+    assert messages == [] and read_message_log(path) == []
 
 
 # Each case overwrites one header field of the first record of a kind:

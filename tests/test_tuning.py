@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cesdar.config import TuningConfig
+from cesdar.cluster import SimulatedCluster, cesdar_fit
+from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
 from cesdar.exceptions import ConfigurationError
 from cesdar.sdar import SparseCoefficients
@@ -123,9 +125,6 @@ def test_acesdar_sweep_respects_cap():
 
 def test_warm_start_not_worse_than_cold():
     # acesdar already guards this internally; verify from the outside.
-    from cesdar.cluster import cesdar_fit
-    from cesdar.config import SolverConfig
-
     data, _ = generate(SyntheticSpec(n=500, p=60, s=6, seed=9))
     _, path = acesdar_fit(data, TuningConfig(step=1, machines=2, j_override=10))
     for point in path:
@@ -143,8 +142,8 @@ def test_cold_fallback_branch(monkeypatch):
     data, _ = generate(SyntheticSpec(n=200, p=20, s=2, seed=10))
     real_fit = tuning.cesdar_fit
 
-    def sabotaged(data_, machines, cfg, collect_trace=False, warm=None):
-        result = real_fit(data_, machines, cfg, collect_trace=collect_trace)
+    def sabotaged(data_, machines, cfg, collect_trace=False, warm=None, cluster=None):
+        result = real_fit(data_, machines, cfg, collect_trace=collect_trace, cluster=cluster)
         if warm is not None:
             result.beta = SparseCoefficients.zeros(data_.p)  # terrible warm "fit"
         return result
@@ -165,3 +164,64 @@ def test_path_csv_export(tmp_path):
     assert lines[0] == "sparsity,hbic,support_size,iterations,loss"
     assert len(lines) == 1 + len(path)
     assert lines[1].startswith("2,")
+
+
+def _without_setup(entries):
+    """Ledger rows minus the curvature reports and the iteration-0 dual exchange."""
+    return [e for e in entries if e.kind != "ReportCurvature"
+            and not (e.iteration == 0 and e.kind in ("BroadcastActiveSet", "ReportDual"))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(40, 160), p=st.integers(6, 24), machines=st.integers(1, 4),
+       step=st.sampled_from([1, 2]), j=st.integers(2, 6), seed=st.integers(0, 10_000))
+@example(n=137, p=24, machines=3, step=2, j=6, seed=6504)  # T=4 falls back to cold
+def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
+    # Each path point must be bitwise the fit a fresh cluster gives from the
+    # same start; its ledger drops only the set-up an earlier fit made.
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=3, seed=seed))
+    tune = TuningConfig(step=step, machines=machines, j_override=j)
+    _, path = acesdar_fit(data, tune)
+    for i, point in enumerate(path):
+        cfg = SolverConfig(sparsity=point.sparsity, tau=tune.tau, max_iter=tune.max_iter)
+        warm = None if i == 0 or point.cold_fallback else (path[i - 1].fit.beta,
+                                                             path[i - 1].fit.d)
+        ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
+        assert fit.beta == ref.beta
+        for name in ("d", "g"):
+            assert np.array_equal(getattr(fit, name), getattr(ref, name))
+        for name in ("rel_loss", "iterations", "inner_rounds", "converged"):
+            assert getattr(fit, name) == getattr(ref, name)
+        assert len(fit.active_history) == len(ref.active_history)
+        assert all(np.array_equal(a, b) for a, b in zip(fit.active_history, ref.active_history))
+        expected = ref.ledger.entries if i == 0 else _without_setup(ref.ledger.entries)
+        assert fit.ledger.entries == expected
+
+
+def _cluster_misuse(case):
+    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=3))
+    cfg = SolverConfig(sparsity=2)
+    cluster = SimulatedCluster(data, 3)
+    if case == "other_dataset":
+        cesdar_fit(Dataset(data.x, data.y), 3, cfg, cluster=cluster)
+    elif case == "other_machines":
+        cesdar_fit(data, 2, cfg, cluster=cluster)
+    elif case == "fail_worker":
+        cesdar_fit(data, 3, cfg, cluster=cluster, fail_worker=1)
+    elif case == "log_messages":
+        cesdar_fit(data, 3, cfg, cluster=cluster, log_messages=True)
+    else:
+        cesdar_fit(data, 3, cfg, cluster=cluster)
+        cluster.raw_dual(SparseCoefficients.zeros(data.p))[0] = 1.0
+
+
+@pytest.mark.parametrize("case,problem", [
+    ("other_dataset", "another dataset or machine count"),
+    ("other_machines", "another dataset or machine count"),
+    ("fail_worker", "belong to the cluster"),
+    ("log_messages", "belong to the cluster"),
+    ("write_zero_dual", "read-only"),
+])
+def test_cluster_keyword_guards(case, problem):
+    with pytest.raises(ValueError, match=problem):
+        _cluster_misuse(case)
