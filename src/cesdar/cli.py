@@ -30,7 +30,7 @@ from .data import (
 from .exceptions import CesdarError
 from .metrics import emit_grid, emit_table, run_cell, write_summary_json, write_trials_csv
 from .sdar import esdar_fit
-from .tuning import acesdar_fit, max_sparsity_cap, write_path_csv
+from .tuning import acesdar_fit, path_cap, write_path_csv
 
 ENV_SEED = "CESDAR_SEED"
 
@@ -232,10 +232,10 @@ def cmd_tune(data_path, response, categorical, noise_features, standardize, mach
     try:
         data = _load_dataset(data_path, response, categorical, noise_features,
                              seed, standardize)
-        cap = max_sparsity_cap(data.n // machines, data.p, j_override)
-        click.echo(f"sparsity cap J = {cap} (n={data.n // machines}, p={data.p})")
         tune = TuningConfig(step=step, machines=machines, tau=tau,
                             max_iter=max_iter, j_override=j_override)
+        cap = path_cap(data, tune)
+        click.echo(f"sparsity cap J = {cap} (n={data.n // machines}, p={data.p})")
         best, path = acesdar_fit(data, tune)
     except (CesdarError, OSError, ValueError) as exc:
         _fail("tune", str(exc))

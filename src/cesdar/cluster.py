@@ -36,6 +36,9 @@ One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate, so no fit needs to reset the
 workers' coefficients first. With M=1 there are no messages at all and
 the run is bitwise identical to the single-machine solver.
+
+A cluster's options (``fail_worker``, ``log_messages``) are set only where
+it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 """
 from __future__ import annotations
 
@@ -265,7 +268,12 @@ class _RemoteWorker:
 
 
 class SimulatedCluster:
-    """Master-side driver around the remote workers; fits may share it (see Setup)."""
+    """Master-side driver around the remote workers; fits may share it (see Setup).
+
+    ``fail_worker`` names a remote worker (1..M-1) that is down, so any
+    exchange with it raises ``WorkerUnavailableError``. With
+    ``log_messages`` every message a fit sends or receives is kept in order.
+    """
 
     def __init__(self, data: Dataset, machines: int, fail_worker=None,
                  log_messages: bool = False):
@@ -368,6 +376,13 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     it contracts geometrically. Iterating to tolerance (rather than one
     correction) is what lets the distributed fixed point coincide with the
     full-sample one.
+
+    A master-shard Gram singular on ``active`` is jittered by ``spd_solve``;
+    the corrections then overshoot, each failed round halves the damping,
+    and the loop stops when it falls below 1e-6, before the round cap. The
+    best point seen comes back finite, flagged ``jittered`` and not
+    ``converged`` (so is the fit), and need not be the full-sample least
+    squares (tested case: 21 rounds, 0.55 off in the max norm).
 
     Returns (coefficients, jittered, rounds, converged).
     """
@@ -472,22 +487,19 @@ class _MasterOnlyEngine(_ClusterEngine):
 
 
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,
-                     collect_trace: bool, fail_worker, log_messages: bool,
-                     warm, cluster=None) -> FitResult:
+                     warm=None, cluster=None) -> FitResult:
+    """The shared loop on ``cluster`` (or a fresh one), with the fit's own
+    ledger, iteration count and message list."""
     if cfg.sparsity > data.p:
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
     if cluster is None:
-        cluster = SimulatedCluster(data, machines, fail_worker=fail_worker,
-                                   log_messages=log_messages)
+        cluster = SimulatedCluster(data, machines)
     elif cluster.data is not data or cluster.machines != machines:
         raise ValueError("cluster= was built on another dataset or machine count")
-    elif fail_worker is not None or log_messages:
-        raise ValueError("fail_worker and log_messages belong to the cluster, not beside cluster=")
-    else:
-        cluster.ledger, cluster.iteration = CommLedger(), 0  # per-fit traffic only
-        cluster.messages = None if cluster.messages is None else []
+    cluster.ledger, cluster.iteration = CommLedger(), 0
+    cluster.messages = None if cluster.messages is None else []
     engine = engine_cls(cluster)
-    result = _sdar_loop(engine, cfg, collect_trace, warm=warm)
+    result = _sdar_loop(engine, cfg, warm=warm)
     if not engine.surrogate_ok:
         result.converged = False
     result.ledger = cluster.ledger
@@ -495,29 +507,30 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
     return result
 
 
-def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig,
-               collect_trace: bool = False, fail_worker=None,
-               log_messages: bool = False, warm=None, cluster=None) -> FitResult:
+def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, warm=None,
+               cluster=None) -> FitResult:
     """Distributed fit with sample-weighted averaged curvature and duals.
 
     With machines=1 the output is bitwise identical to the single-machine
     solver: the loop, the detection keys, and the restricted solves all run
     through the same code on the same arrays.
 
-    ``cluster`` reuses a ``SimulatedCluster`` built on this ``data`` object and
-    ``machines`` (ValueError otherwise, or beside ``fail_worker``/``log_messages``).
-    Same output; the fit's ledger omits set-up already exchanged on that cluster.
+    ``warm`` is an optional (coefficients, dual) pair seeding the first
+    detection. ``cluster`` runs the fit on a ``SimulatedCluster`` built on
+    this ``data`` object and ``machines`` (ValueError otherwise); worker
+    failure and message logging are set there. Same output; the fit's
+    ledger omits set-up already exchanged on that cluster.
     """
-    return _distributed_fit(_ClusterEngine, data, machines, cfg,
-                            collect_trace, fail_worker, log_messages, warm, cluster)
+    return _distributed_fit(_ClusterEngine, data, machines, cfg, warm, cluster)
 
 
-def ecesdar_fit(data: Dataset, machines: int, cfg: SolverConfig,
-                collect_trace: bool = False, fail_worker=None,
-                log_messages: bool = False, warm=None) -> FitResult:
-    """Low-communication fit: master-shard detection, shared root finding."""
-    return _distributed_fit(_MasterOnlyEngine, data, machines, cfg,
-                            collect_trace, fail_worker, log_messages, warm)
+def ecesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, cluster=None) -> FitResult:
+    """Low-communication fit: master-shard detection, shared root finding.
+
+    ``cluster`` as for ``cesdar_fit``; with no set-up exchange, the ledger
+    is the same on a fresh or a shared cluster.
+    """
+    return _distributed_fit(_MasterOnlyEngine, data, machines, cfg, cluster=cluster)
 
 
 def write_message_log(path, messages) -> None:

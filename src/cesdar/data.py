@@ -24,7 +24,7 @@ from .exceptions import ConfigurationError, DegenerateColumnError, IngestError
 __all__ = [
     "Dataset",
     "SyntheticSpec",
-    "GroundTruth",
+    "SparseCoefficients",
     "generate",
     "generate_test",
     "example_config",
@@ -147,26 +147,73 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """True coefficients of a synthetic instance."""
+class SparseCoefficients:
+    """Length-``dim`` coefficient vector stored as (support, values): a fit's
+    estimate, or the truth of a synthetic instance.
+
+    The support is strictly increasing; canonical instances store no
+    explicit zeros (intermediate ones may, see ``canonical``).
+    """
 
     dim: int
     support: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        support = np.asarray(self.support, dtype=np.int64)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "values", values)
+        if support.shape != values.shape or support.ndim != 1:
+            raise ValueError("support and values must be 1-d and equally long")
+        if support.size:
+            if support[0] < 0 or support[-1] >= self.dim:
+                raise ValueError("support index out of range")
+            if np.any(np.diff(support) <= 0):
+                raise ValueError("support must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coefficient values must be finite")
+
+    @classmethod
+    def zeros(cls, dim: int) -> "SparseCoefficients":
+        return cls(dim, np.empty(0, dtype=np.int64), np.empty(0))
+
+    @classmethod
+    def from_dense(cls, dense) -> "SparseCoefficients":
+        dense = np.asarray(dense, dtype=float)
+        support = np.flatnonzero(dense)
+        return cls(dense.shape[0], support, dense[support])
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.support] = self.values
         return out
 
+    def canonical(self) -> "SparseCoefficients":
+        """Drop explicitly stored zeros."""
+        keep = self.values != 0.0
+        if keep.all():
+            return self
+        return SparseCoefficients(self.dim, self.support[keep], self.values[keep])
 
-def _draw_instance(spec: SyntheticSpec, rng, truth: GroundTruth | None):
+    def __eq__(self, other):
+        return (
+            isinstance(other, SparseCoefficients)
+            and self.dim == other.dim
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.values, other.values)
+        )
+
+    __hash__ = None
+
+
+def _draw_instance(spec: SyntheticSpec, rng, truth: SparseCoefficients | None):
     """Draw order: X, then (support, values) unless given, then noise."""
     x = rng.standard_normal((spec.n, spec.p))
     if truth is None:
         support = np.sort(rng.choice(spec.p, size=spec.s, replace=False))
         values = rng.uniform(spec.signal_floor, spec.signal_cap, size=spec.s)
-        truth = GroundTruth(dim=spec.p, support=support, values=values)
+        truth = SparseCoefficients(spec.p, support, values)
     noise = rng.standard_normal(spec.n)
     if truth.support.size:
         signal = x[:, truth.support] @ truth.values
@@ -185,7 +232,7 @@ def generate(spec: SyntheticSpec):
     return _draw_instance(spec, stream_rng(spec.seed, "data"), truth=None)
 
 
-def generate_test(spec: SyntheticSpec, truth: GroundTruth, n_test: int):
+def generate_test(spec: SyntheticSpec, truth: SparseCoefficients, n_test: int):
     """Fresh rows and noise under an existing ground truth (held-out set)."""
     test_spec = SyntheticSpec(
         n=n_test, p=spec.p, s=spec.s, signal_ratio=spec.signal_ratio,
@@ -465,7 +512,7 @@ def load_cache(path) -> Dataset:
                    y_mean=y_mean, y_scale=y_scale)
 
 
-def save_truth(path, truth: GroundTruth) -> None:
+def save_truth(path, truth: SparseCoefficients) -> None:
     payload = {
         "dim": truth.dim,
         "support": [int(i) for i in truth.support],
@@ -476,11 +523,8 @@ def save_truth(path, truth: GroundTruth) -> None:
         out.write("\n")
 
 
-def load_truth(path) -> GroundTruth:
+def load_truth(path) -> SparseCoefficients:
+    """Inverse of save_truth; ValueError on an unsorted or non-finite truth."""
     with open(path) as handle:
         payload = json.load(handle)
-    return GroundTruth(
-        dim=int(payload["dim"]),
-        support=np.asarray(payload["support"], dtype=np.int64),
-        values=np.asarray(payload["values"], dtype=float),
-    )
+    return SparseCoefficients(int(payload["dim"]), payload["support"], payload["values"])

@@ -20,8 +20,8 @@ import numpy as np
 
 from .cluster import cesdar_fit, ecesdar_fit
 from .config import ExperimentConfig
-from .data import Dataset, GroundTruth, SyntheticSpec, generate, generate_test
-from .sdar import SparseCoefficients, esdar_fit, root_find_local
+from .data import Dataset, SparseCoefficients, SyntheticSpec, generate, generate_test
+from .sdar import esdar_fit, root_find_local
 from .tuning import acesdar_fit
 
 __all__ = [
@@ -48,8 +48,6 @@ ORACLE_TOL = 1e-8
 
 def _dense(beta) -> np.ndarray:
     if isinstance(beta, SparseCoefficients):
-        return beta.dense()
-    if isinstance(beta, GroundTruth):
         return beta.dense()
     return np.asarray(beta, dtype=float)
 
@@ -437,11 +435,12 @@ class BoundReport:
     constant_samples: int
 
 
-def bound_check(beta_hat, truth: GroundTruth, sigma: float, sparsity: int,
+def bound_check(beta_hat, truth: SparseCoefficients, sigma: float, sparsity: int,
                 p: int, n: int, alpha: float, mu: float,
                 constants: SrcConstants | None = None) -> BoundReport:
     """Check the l2 and max-norm error bounds with all premises evaluated."""
-    diff = _dense(beta_hat) - truth.dense()
+    hat = _dense(beta_hat)
+    diff = hat - truth.dense()
     l2 = float(np.linalg.norm(diff))
     linf = float(np.abs(diff).max())
     eta1, eta2, gamma_mu = _theory_terms(sigma, sparsity, p, n, alpha, mu)
@@ -478,7 +477,7 @@ def bound_check(beta_hat, truth: GroundTruth, sigma: float, sparsity: int,
                     floor = eta1 * gamma / ((1.0 - gamma) * theta)
                     signal_floor_l2_ok = float(np.abs(truth.values).min()) > floor
 
-    hat_support = set(int(i) for i in _support_of(beta_hat))
+    hat_support = set(int(i) for i in np.flatnonzero(hat))
     covered = set(int(i) for i in truth.support) <= hat_support
     return BoundReport(
         l2_error=l2, linf_error=linf, t_mu=t_mu, t_mu_ok=t_mu_ok,
@@ -489,10 +488,3 @@ def bound_check(beta_hat, truth: GroundTruth, sigma: float, sparsity: int,
         signal_floor_linf_ok=signal_floor_linf_ok,
         constants_exact=exact, constant_samples=samples,
     )
-
-
-def _support_of(beta) -> np.ndarray:
-    if isinstance(beta, SparseCoefficients):
-        return beta.canonical().support
-    dense = np.asarray(beta, dtype=float)
-    return np.flatnonzero(dense)

@@ -21,12 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SolverConfig
-from .data import Dataset
+from .data import Dataset, SparseCoefficients
 from .linalg import gram_submatrix, spd_solve
 
 __all__ = [
     "SparseCoefficients",
-    "IterState",
     "FitResult",
     "detect_active",
     "normal_equations",
@@ -34,78 +33,6 @@ __all__ = [
     "esdar_fit",
     "kkt_residual",
 ]
-
-
-@dataclass(frozen=True)
-class SparseCoefficients:
-    """Length-``dim`` coefficient vector stored as (support, values).
-
-    The support is strictly increasing; canonical instances store no
-    explicit zeros (intermediate ones may, see ``canonical``).
-    """
-
-    dim: int
-    support: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "values", values)
-        if support.shape != values.shape or support.ndim != 1:
-            raise ValueError("support and values must be 1-d and equally long")
-        if support.size:
-            if support[0] < 0 or support[-1] >= self.dim:
-                raise ValueError("support index out of range")
-            if np.any(np.diff(support) <= 0):
-                raise ValueError("support must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("coefficient values must be finite")
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SparseCoefficients":
-        return cls(dim, np.empty(0, dtype=np.int64), np.empty(0))
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseCoefficients":
-        dense = np.asarray(dense, dtype=float)
-        support = np.flatnonzero(dense)
-        return cls(dense.shape[0], support, dense[support])
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.support] = self.values
-        return out
-
-    def canonical(self) -> "SparseCoefficients":
-        """Drop explicitly stored zeros."""
-        keep = self.values != 0.0
-        if keep.all():
-            return self
-        return SparseCoefficients(self.dim, self.support[keep], self.values[keep])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseCoefficients)
-            and self.dim == other.dim
-            and np.array_equal(self.support, other.support)
-            and np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None
-
-
-@dataclass
-class IterState:
-    """One outer iterate: coefficients, dual step, curvature, active set."""
-
-    beta: SparseCoefficients
-    d: np.ndarray
-    g: np.ndarray
-    active: np.ndarray
-    k: int
-    rel_loss: float
 
 
 @dataclass
@@ -130,7 +57,6 @@ class FitResult:
     rel_loss: float
     jittered: bool = False
     cycled: bool = False
-    trace: list = field(default_factory=list)
     ledger: object = None
     inner_rounds: list = field(default_factory=list)
     messages: list | None = None
@@ -215,7 +141,7 @@ class LocalEngine:
         pass
 
 
-def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> FitResult:
+def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
     """Shared outer loop: detect, check stability, solve, refresh dual.
 
     The relative loss -beta'(c + raw)/2 (c is the correlation at beta = 0)
@@ -244,7 +170,6 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
     history: list[np.ndarray] = []
     seen: set[bytes] = set()
     best = (math.inf, None)
-    trace: list[IterState] = []
     iterations = 0
     converged = False
     cycled = False
@@ -276,8 +201,6 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
         iterations += 1
         if rel_loss < best[0]:
             best = (rel_loss, (beta, d.copy(), iterations, rel_loss))
-        if collect_trace:
-            trace.append(IterState(beta, d.copy(), g, active, iterations, rel_loss))
 
     if cycled and best[1] is not None:
         # Revisited an earlier active set without stabilizing: return the
@@ -287,14 +210,13 @@ def _sdar_loop(engine, cfg: SolverConfig, collect_trace: bool, warm=None) -> Fit
     result = FitResult(
         beta=beta.canonical(), iterations=iterations, converged=converged,
         active_history=history, d=d, g=g, rel_loss=rel_loss,
-        jittered=jittered, cycled=cycled, trace=trace, inner_rounds=inner_rounds,
+        jittered=jittered, cycled=cycled, inner_rounds=inner_rounds,
     )
     engine.finish(result.beta)
     return result
 
 
-def esdar_fit(data: Dataset, cfg: SolverConfig, collect_trace: bool = False,
-              warm=None) -> FitResult:
+def esdar_fit(data: Dataset, cfg: SolverConfig) -> FitResult:
     """Single-machine fit from beta = 0 with the dual step evaluated there.
 
     Stops when the active set repeats, at the iteration cap (returned with
@@ -302,7 +224,7 @@ def esdar_fit(data: Dataset, cfg: SolverConfig, collect_trace: bool = False,
     """
     if cfg.sparsity > data.p:
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
-    return _sdar_loop(LocalEngine(data), cfg, collect_trace, warm=warm)
+    return _sdar_loop(LocalEngine(data), cfg)
 
 
 def kkt_residual(data: Dataset, beta: SparseCoefficients, sparsity: int, tau: float,

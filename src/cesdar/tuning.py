@@ -22,7 +22,7 @@ from .data import Dataset
 from .exceptions import ConfigurationError
 from .sdar import FitResult, SparseCoefficients
 
-__all__ = ["PathPoint", "hbic", "max_sparsity_cap", "acesdar_fit", "write_path_csv"]
+__all__ = ["PathPoint", "hbic", "max_sparsity_cap", "path_cap", "acesdar_fit", "write_path_csv"]
 
 # Loss slack under which the warm-started fit is considered no worse.
 WARM_START_SLACK = 1e-8
@@ -62,6 +62,12 @@ def max_sparsity_cap(n: int, p: int, override: int | None = None) -> int:
     return int(n / (math.log(math.log(n)) * math.log(p)))
 
 
+def path_cap(data: Dataset, tune: TuningConfig) -> int:
+    """The largest sparsity the path sweeps: ``max_sparsity_cap`` on the
+    master-shard size floor(N/M), or ``tune.j_override``, and never above p."""
+    return min(max_sparsity_cap(data.n // tune.machines, data.p, tune.j_override), data.p)
+
+
 @dataclass
 class PathPoint:
     """One sweep entry: target sparsity, its fit, and the HBIC score."""
@@ -76,15 +82,10 @@ class PathPoint:
     fit: FitResult
 
 
-def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
-    """Sweep, score, select. Returns (best point, full path).
-
-    The cap uses the master-shard sample size floor(N/M) unless
-    ``tune.j_override`` pins it, and never exceeds p.
-    """
-    n_master = data.n // tune.machines
-    cap = max_sparsity_cap(n_master, data.p, tune.j_override)
-    cap = min(cap, data.p)
+def acesdar_fit(data: Dataset, tune: TuningConfig):
+    """Sweep T = step, 2*step, ... up to ``path_cap``, score, select.
+    Returns (best point, full path)."""
+    cap = path_cap(data, tune)
     if cap < tune.step:
         raise ConfigurationError(
             f"empty path: cap {cap} is below the step {tune.step}; set j_override"
@@ -100,13 +101,11 @@ def acesdar_fit(data: Dataset, tune: TuningConfig, collect_trace: bool = False):
         if sparsity > cap:
             break
         cfg = SolverConfig(sparsity=sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        fit = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace, warm=warm,
-                         cluster=cluster)
+        fit = cesdar_fit(data, tune.machines, cfg, warm=warm, cluster=cluster)
         loss = _half_mse_loss(data, fit.beta)
         cold_fallback = False
         if warm is not None:
-            cold = cesdar_fit(data, tune.machines, cfg, collect_trace=collect_trace,
-                              cluster=cluster)
+            cold = cesdar_fit(data, tune.machines, cfg, cluster=cluster)
             cold_loss = _half_mse_loss(data, cold.beta)
             if loss > cold_loss + WARM_START_SLACK:
                 fit, loss, cold_fallback = cold, cold_loss, True

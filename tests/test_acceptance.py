@@ -16,6 +16,7 @@ from cesdar.cluster import (
     MASTER_TO_WORKER,
     PROTOCOL_SHAPES,
     WORKER_TO_MASTER,
+    SimulatedCluster,
     cesdar_fit,
     ecesdar_fit,
     message_bytes,
@@ -257,7 +258,8 @@ def test_criterion_7_privacy_invariant():
     for machines in (2, 5):
         data, _ = generate(SyntheticSpec(n=350, p=37, s=4, seed=7000 + machines))
         for fitter in (cesdar_fit, ecesdar_fit):
-            result = fitter(data, machines, SolverConfig(sparsity=4), log_messages=True)
+            cluster = SimulatedCluster(data, machines, log_messages=True)
+            result = fitter(data, machines, SolverConfig(sparsity=4), cluster=cluster)
             shard = data.n // machines
             for message in result.messages:
                 sizes_ok = (

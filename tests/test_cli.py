@@ -180,6 +180,25 @@ def test_tune_step_zero_is_exit_1(runner, tmp_path):
     assert "error: tune:" in result.output
 
 
+def test_tune_zero_machines_is_exit_1(runner, tmp_path):
+    cache = gen_cache(runner, tmp_path, n=400, p=50, s=4, seed=3)
+    result = runner.invoke(main, ["tune", "--data", str(cache), "--machines", "0"])
+    assert result.exit_code == 1
+    assert result.output == "error: tune: machines must be >= 1, got 0\n"
+
+
+def test_tune_logs_cap_the_path_uses(runner, tmp_path):
+    # An override above p is clamped to p by the sweep; the log says so.
+    cache = gen_cache(runner, tmp_path, n=400, p=50, s=4, seed=3)
+    path_csv = tmp_path / "path.csv"
+    result = run(runner, ["tune", "--data", str(cache), "--j-override", "80",
+                          "--step", "10", "--path-out", str(path_csv),
+                          "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 0
+    assert "sparsity cap J = 50 (n=400, p=50)" in result.output
+    assert path_csv.read_text().splitlines()[-1].startswith("50,")
+
+
 def test_ingest_round_trip(runner, tmp_path):
     csv_path = tmp_path / "raw.csv"
     csv_path.write_text("a,kind,y\n1,u,3\n2,v,4\n3,u,5\n4,w,6\n")

@@ -10,6 +10,7 @@ from cesdar.cluster import (
     MASTER_TO_WORKER,
     MESSAGE_KINDS,
     PROTOCOL_SHAPES,
+    SURROGATE_MAX_ROUNDS,
     WORKER_TO_MASTER,
     SimulatedCluster,
     WorkerMessage,
@@ -316,7 +317,8 @@ def test_protocol_shapes_are_aggregates_only():
 def test_runtime_privacy_audit(fitter):
     data, _ = generate(SyntheticSpec(n=240, p=30, s=4, seed=14))
     sparsity = 4
-    result = fitter(data, 4, SolverConfig(sparsity=sparsity), log_messages=True)
+    result = fitter(data, 4, SolverConfig(sparsity=sparsity),
+                    cluster=SimulatedCluster(data, 4, log_messages=True))
     shard_rows = data.n // 4
     for entry in result.ledger.entries:
         idx_shape, real_shape = PROTOCOL_SHAPES[entry.kind]
@@ -343,7 +345,8 @@ def test_audit_rejects_off_protocol_payload():
 def test_worker_failure_is_fail_stop():
     data, _ = generate(SyntheticSpec(n=100, p=10, s=2, seed=15))
     with pytest.raises(WorkerUnavailableError) as err:
-        cesdar_fit(data, 4, SolverConfig(sparsity=2), fail_worker=2)
+        cesdar_fit(data, 4, SolverConfig(sparsity=2),
+                   cluster=SimulatedCluster(data, 4, fail_worker=2))
     assert err.value.worker == 2
 
 
@@ -365,10 +368,32 @@ def test_master_shard_zero_column():
     assert np.all(np.isfinite(result.d)) and np.all(result.g > 0)
 
 
+def test_master_shard_rank_deficient_gram():
+    # Column 7 equals column 4 on the master's 100 rows only: the full-sample
+    # Gram on A is regular, the master-shard one singular. The documented
+    # rule: flagged (jittered, not converged), finite, and stopped by the
+    # damping floor before the round cap (21 rounds here).
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=0))
+    x = data.x.copy()
+    x[:100, 7] = x[:100, 4]
+    data = Dataset(x, data.y)
+    active = np.array([4, 7, 11, 29])
+    cluster = SimulatedCluster(data, 4)
+    beta, jittered, rounds, converged = surrogate_root_find(cluster, active, cluster.curvature())
+    assert jittered and not converged and rounds < SURROGATE_MAX_ROUNDS
+    assert np.all(np.isfinite(beta.values))
+    for fitter in (cesdar_fit, ecesdar_fit):
+        result = fitter(data, 4, SolverConfig(sparsity=4))
+        assert result.jittered and not result.converged
+        assert np.all(np.isfinite(result.beta.values))
+        assert max(result.inner_rounds) < SURROGATE_MAX_ROUNDS
+
+
 @pytest.mark.parametrize("cut", ["inside_header", "after_header", "mid_message"])
 def test_truncated_message_log_is_ingest_error(tmp_path, cut):
     data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, 3, SolverConfig(sparsity=2), log_messages=True)
+    result = cesdar_fit(data, 3, SolverConfig(sparsity=2),
+                        cluster=SimulatedCluster(data, 3, log_messages=True))
     path = tmp_path / "messages.bin"
     write_message_log(path, result.messages)
     blob = path.read_bytes()
@@ -391,7 +416,8 @@ def _record_offsets(blob):
 def _write_small_log(tmp_path, machines=3):
     """Message log of a small CESDAR fit; returns its path and messages."""
     data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, machines, SolverConfig(sparsity=2), log_messages=True)
+    result = cesdar_fit(data, machines, SolverConfig(sparsity=2),
+                        cluster=SimulatedCluster(data, machines, log_messages=True))
     path = tmp_path / "messages.bin"
     write_message_log(path, result.messages)
     return path, result.messages
@@ -437,7 +463,8 @@ def test_empty_message_log_round_trips(tmp_path):
 ], ids=["kind_tag", "short_length", "index_overrun", "indices_on_report", "anchor_mismatch"])
 def test_corrupt_message_log_is_ingest_error(tmp_path, kind, fmt, field, value, problem):
     data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=0))
-    result = cesdar_fit(data, 4, SolverConfig(sparsity=4), log_messages=True)
+    result = cesdar_fit(data, 4, SolverConfig(sparsity=4),
+                        cluster=SimulatedCluster(data, 4, log_messages=True))
     path = tmp_path / "messages.bin"
     write_message_log(path, result.messages)
     blob = bytearray(path.read_bytes())
@@ -452,7 +479,8 @@ def test_corrupt_message_log_is_ingest_error(tmp_path, kind, fmt, field, value, 
 
 def test_message_log_round_trip(tmp_path):
     data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, 3, SolverConfig(sparsity=2), log_messages=True)
+    result = cesdar_fit(data, 3, SolverConfig(sparsity=2),
+                        cluster=SimulatedCluster(data, 3, log_messages=True))
     path = tmp_path / "messages.bin"
     write_message_log(path, result.messages)
     back = read_message_log(path)

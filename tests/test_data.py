@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -220,6 +221,17 @@ def test_cache_round_trip_bit_exact(tmp_path):
     back = load_truth(tpath)
     assert np.array_equal(back.support, truth.support)
     assert np.array_equal(back.values, truth.values)
+
+
+@pytest.mark.parametrize("support,values,problem", [
+    ([4, 1], [1.0, 2.0], "strictly increasing"),
+    ([1, 4], [1.0, float("nan")], "finite"),
+], ids=["unsorted", "non_finite"])
+def test_load_truth_rejects_invalid(tmp_path, support, values, problem):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim": 8, "support": support, "values": values}))
+    with pytest.raises(ValueError, match=problem):
+        load_truth(path)
 
 
 def test_cache_round_trip_standardized(tmp_path):

@@ -242,8 +242,7 @@ def test_bound_check_orthogonal_noiseless_passes():
     x = orthogonal_design(100, 8, seed=10)
     truth_dense = np.zeros(8)
     truth_dense[[1, 4]] = [2.0, -1.0]
-    from cesdar.data import GroundTruth
-    truth = GroundTruth(8, np.array([1, 4]), np.array([2.0, -1.0]))
+    truth = SparseCoefficients(8, np.array([1, 4]), np.array([2.0, -1.0]))
     report = bound_check(SparseCoefficients.from_dense(truth_dense), truth,
                          sigma=1.0, sparsity=2, p=8, n=100, alpha=0.05,
                          mu=mutual_coherence(x), constants=src_constants(x, 2))
@@ -253,8 +252,7 @@ def test_bound_check_orthogonal_noiseless_passes():
 
 
 def test_bound_check_premise_gate():
-    from cesdar.data import GroundTruth
-    truth = GroundTruth(8, np.array([1]), np.array([2.0]))
+    truth = SparseCoefficients(8, np.array([1]), np.array([2.0]))
     report = bound_check(SparseCoefficients.zeros(8), truth, sigma=1.0,
                          sparsity=10, p=8, n=100, alpha=0.05, mu=0.03)
     assert report.t_mu == pytest.approx(0.3)

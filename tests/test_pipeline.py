@@ -1,14 +1,29 @@
 """End-to-end pipeline: ingest a small CSV shaped like the price-prediction
 application (numerics + two categoricals + appended noise columns), split,
 fit distributed, tune."""
+import inspect
+
 import numpy as np
 import pytest
 
-from cesdar.cluster import cesdar_fit
+from cesdar.cluster import cesdar_fit, ecesdar_fit
 from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import ingest_csv, split
 from cesdar.metrics import prediction_error
+from cesdar.sdar import esdar_fit
 from cesdar.tuning import acesdar_fit
+
+
+# Options a fitter takes beyond its data and configuration; cluster options
+# (worker failure, message logging) belong to SimulatedCluster alone.
+@pytest.mark.parametrize("fitter,params", [
+    (esdar_fit, ["data", "cfg"]),
+    (cesdar_fit, ["data", "machines", "cfg", "warm", "cluster"]),
+    (ecesdar_fit, ["data", "machines", "cfg", "cluster"]),
+    (acesdar_fit, ["data", "tune"]),
+], ids=["esdar", "cesdar", "ecesdar", "acesdar"])
+def test_fitter_parameters(fitter, params):
+    assert list(inspect.signature(fitter).parameters) == params
 
 
 @pytest.fixture(scope="module")

@@ -205,15 +205,6 @@ def test_non_convergence_is_flagged_not_raised():
     assert found, "expected at least one instance needing more than one iteration"
 
 
-def test_trace_collection():
-    data, _ = generate(SyntheticSpec(n=100, p=20, s=3, seed=12))
-    result = esdar_fit(data, SolverConfig(sparsity=3), collect_trace=True)
-    assert len(result.trace) == result.iterations
-    state = result.trace[-1]
-    assert state.beta == result.beta
-    assert np.array_equal(state.active, result.active_history[-1])
-
-
 # --- fixed-point residual ---------------------------------------------------
 
 def test_kkt_residual_small_at_convergence():

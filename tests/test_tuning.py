@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cesdar.cluster import SimulatedCluster, cesdar_fit
+from cesdar.cluster import (SimulatedCluster, cesdar_fit, ecesdar_fit, read_message_log,
+                            write_message_log)
 from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
 from cesdar.exceptions import ConfigurationError
@@ -142,8 +143,8 @@ def test_cold_fallback_branch(monkeypatch):
     data, _ = generate(SyntheticSpec(n=200, p=20, s=2, seed=10))
     real_fit = tuning.cesdar_fit
 
-    def sabotaged(data_, machines, cfg, collect_trace=False, warm=None, cluster=None):
-        result = real_fit(data_, machines, cfg, collect_trace=collect_trace, cluster=cluster)
+    def sabotaged(data_, machines, cfg, warm=None, cluster=None):
+        result = real_fit(data_, machines, cfg, cluster=cluster)
         if warm is not None:
             result.beta = SparseCoefficients.zeros(data_.p)  # terrible warm "fit"
         return result
@@ -206,10 +207,6 @@ def _cluster_misuse(case):
         cesdar_fit(Dataset(data.x, data.y), 3, cfg, cluster=cluster)
     elif case == "other_machines":
         cesdar_fit(data, 2, cfg, cluster=cluster)
-    elif case == "fail_worker":
-        cesdar_fit(data, 3, cfg, cluster=cluster, fail_worker=1)
-    elif case == "log_messages":
-        cesdar_fit(data, 3, cfg, cluster=cluster, log_messages=True)
     else:
         cesdar_fit(data, 3, cfg, cluster=cluster)
         cluster.raw_dual(SparseCoefficients.zeros(data.p))[0] = 1.0
@@ -218,10 +215,44 @@ def _cluster_misuse(case):
 @pytest.mark.parametrize("case,problem", [
     ("other_dataset", "another dataset or machine count"),
     ("other_machines", "another dataset or machine count"),
-    ("fail_worker", "belong to the cluster"),
-    ("log_messages", "belong to the cluster"),
     ("write_zero_dual", "read-only"),
 ])
 def test_cluster_keyword_guards(case, problem):
     with pytest.raises(ValueError, match=problem):
         _cluster_misuse(case)
+
+
+def _wire(messages):
+    return [(m.kind, m.indices.tolist(), m.reals.tolist()) for m in messages]
+
+
+def test_shared_cluster_keeps_each_fits_own_log(tmp_path):
+    # Two fits on one logging cluster: each result holds only its own
+    # traffic, the second less the set-up the first already exchanged.
+    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
+    shared = SimulatedCluster(data, 3, log_messages=True)
+    for i, sparsity in enumerate((2, 3)):
+        cfg = SolverConfig(sparsity=sparsity)
+        fit = cesdar_fit(data, 3, cfg, cluster=shared)
+        fresh = cesdar_fit(data, 3, cfg, cluster=SimulatedCluster(data, 3, log_messages=True))
+        kept = fresh.ledger.entries if i == 0 else _without_setup(fresh.ledger.entries)
+        assert fit.ledger.entries == kept
+        own = [m for m, e in zip(fresh.messages, fresh.ledger.entries) if e in kept]
+        assert _wire(fit.messages) == _wire(own)
+        path = tmp_path / f"fit{i}.bin"
+        write_message_log(path, fit.messages)
+        assert _wire(read_message_log(path)) == _wire(fit.messages)
+
+
+def test_ecesdar_on_shared_cluster_equals_fresh():
+    data, _ = generate(SyntheticSpec(n=240, p=30, s=4, seed=14))
+    cfg = SolverConfig(sparsity=4)
+    shared = SimulatedCluster(data, 4)
+    cesdar_fit(data, 4, cfg, cluster=shared)
+    fit, ref = ecesdar_fit(data, 4, cfg, cluster=shared), ecesdar_fit(data, 4, cfg)
+    assert fit.beta == ref.beta
+    for name in ("d", "g"):
+        assert np.array_equal(getattr(fit, name), getattr(ref, name))
+    for name in ("rel_loss", "iterations", "inner_rounds", "converged", "jittered", "cycled"):
+        assert getattr(fit, name) == getattr(ref, name)
+    assert fit.ledger.entries == ref.ledger.entries
