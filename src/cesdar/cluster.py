@@ -17,14 +17,17 @@ cluster collects each once and every fit run on it shares them.
 
 Per outer iteration on active set A:
 
-* root finding: the master anchors at its local least squares on A, then
-  repeats {broadcast the current point (BroadcastAnchor, |A| indices +
-  |A| reals), collect local gradients on A (ReportGradient, |A| reals),
-  take a Newton step preconditioned by the master-shard Gram} until the
-  sample-weighted global gradient vanishes on A. Both distributed
-  variants share this step. Beside its coefficients, a worker keeps its
-  shard's normal equations on the last active set and answers anchors
-  from them; these aggregates of its own rows never leave the machine.
+* root finding: the master starts at its local least squares on A and
+  runs conjugate gradient on the full-sample normal equations,
+  preconditioned by the master-shard Gram, until the sample-weighted
+  global gradient vanishes on A. Each exchange broadcasts a point
+  (BroadcastAnchor, |A| indices + |A| reals) and collects local gradients
+  there (ReportGradient, |A| reals): one at the start, one per conjugate
+  gradient step, plus one verification exchange at the final point. Both
+  distributed variants share this step. Beside its coefficients, a worker
+  keeps its shard's normal equations on the last active set and answers
+  anchors from them; these aggregates of its own rows never leave the
+  machine.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
@@ -98,7 +101,7 @@ HEADER_BYTES = 16
 _KIND_TAGS = {kind: i + 1 for i, kind in enumerate(MESSAGE_KINDS)}
 
 # Fixed stopping rule of the inner surrogate solve: absolute tolerance on the
-# dual-scale residual (relative to the anchor's largest entry) and a round cap.
+# dual-scale residual (relative to the start point's largest entry) and a round cap.
 SURROGATE_TOL = 1e-12
 SURROGATE_MAX_ROUNDS = 200
 
@@ -120,6 +123,16 @@ class WorkerMessage:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "reals", reals)
         object.__setattr__(self, "byte_size", message_bytes(indices.size, reals.size))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, WorkerMessage)
+            and self.kind == other.kind
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.reals, other.reals)
+        )
+
+    __hash__ = None
 
     @property
     def n_indices(self) -> int:
@@ -201,16 +214,20 @@ class Partition:
         return tuple(count for _start, count in self.assignments)
 
 
+def _check_machines(rows: int, machines: int) -> None:
+    if machines < 1:
+        raise ValueError(f"machines must be >= 1, got {machines}")
+    if machines > rows:
+        raise ValueError(f"machines={machines} exceeds the number of rows {rows}")
+
+
 def partition(data: Dataset, machines: int):
     """Split rows into M contiguous blocks in order.
 
     The first M-1 machines receive floor(N/M) rows each; the last machine
     absorbs the remainder. M=1 places the full dataset on the master.
     """
-    if machines < 1:
-        raise ValueError(f"machines must be >= 1, got {machines}")
-    if machines > data.n:
-        raise ValueError(f"machines={machines} exceeds the number of rows {data.n}")
+    _check_machines(data.n, machines)
     base = data.n // machines
     assignments = []
     start = 0
@@ -366,23 +383,24 @@ class SimulatedCluster:
 
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
                         curvature: np.ndarray):
-    """Global least squares on ``active`` via master-anchored Newton rounds.
+    """Global least squares on ``active`` by preconditioned conjugate gradient.
 
-    The anchor is the master shard's local least squares. Each round
-    broadcasts the current point, averages the per-machine gradients with
-    sample-size weights (the exact full-sample gradient), and applies the
-    master-Gram-preconditioned correction; for the quadratic loss this is
-    the stationarity iteration of the communication-efficient surrogate and
-    it contracts geometrically. Iterating to tolerance (rather than one
-    correction) is what lets the distributed fixed point coincide with the
-    full-sample one.
+    The system is the full-sample normal equations G b = c on ``active``,
+    preconditioned by the master-shard Gram H1 (as in DiSCO), from the
+    master shard's local least squares. An exchange broadcasts a point and
+    averages the per-machine gradients with sample-size weights: the exact
+    full-sample gradient there. Round 0 exchanges at the start point. Each
+    step solves z = H1^-1 r for the current gradient r, then exchanges at
+    x + p, which gives G p = grad(x + p) - r; in exact arithmetic at most
+    |A| steps are needed. The recurrence gradient drifts, so once it passes
+    the stop test one more exchange checks the true gradient at x (a failed
+    check restarts from x with it). Every exchange follows one H1 solve,
+    the unused one before that check too, so ``rounds`` = solves - 1 =
+    exchanges - 1.
 
-    A master-shard Gram singular on ``active`` is jittered by ``spd_solve``;
-    the corrections then overshoot, each failed round halves the damping,
-    and the loop stops when it falls below 1e-6, before the round cap. The
-    best point seen comes back finite, flagged ``jittered`` and not
-    ``converged`` (so is the fit), and need not be the full-sample least
-    squares (tested case: 21 rounds, 0.55 off in the max norm).
+    A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
+    and still preconditions G, so the solve converges to the full-sample
+    least squares, flagged ``jittered`` (so is the fit).
 
     Returns (coefficients, jittered, rounds, converged).
     """
@@ -393,41 +411,38 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     gram, rhs = normal_equations(cluster.master_shard, active)
     point, jittered = spd_solve(gram, rhs, active_set=active)
 
-    g_active = curvature[active]
-    tol = SURROGATE_TOL * max(1.0, float(np.abs(point).max()))
-    # Damped correction: the undamped step diverges when the global Gram
-    # exceeds twice the master-shard Gram in some direction (tiny shards),
-    # so a residual increase halves the damping and restarts from the best
-    # point seen; its gradient is cached, so no extra exchanges happen.
-    omega = 1.0
-    best_norm = np.inf
-    best_point = point
-    best_grad = None
-    rounds = 0
-    converged = False
-    while True:
-        local = gram @ point - rhs
-        combined = cluster.weights[0] * local
-        cluster.broadcast("BroadcastAnchor", active, point)
+    def gradient(at: np.ndarray) -> np.ndarray:
+        """One exchange: the full-sample gradient on ``active`` at ``at``."""
+        combined = cluster.weights[0] * (gram @ at - rhs)
+        cluster.broadcast("BroadcastAnchor", active, at)
         for w_idx, grad in enumerate(cluster.collect_gradients(active), start=1):
             combined = combined + cluster.weights[w_idx] * grad
-        norm = float(np.abs(combined / g_active).max())
-        if norm <= tol:
-            converged = True
+        return combined
+
+    g_active = curvature[active]
+    tol = SURROGATE_TOL * max(1.0, float(np.abs(point).max()))
+    residual, verified, direction = gradient(point), True, None
+    rounds = 0
+    while True:
+        small = float(np.abs(residual / g_active).max()) <= tol
+        converged = small and verified
+        if converged or rounds >= SURROGATE_MAX_ROUNDS:
             break
-        if rounds >= SURROGATE_MAX_ROUNDS or omega < 1e-6:
-            point = best_point
-            break
-        if norm < best_norm:
-            best_norm, best_point, best_grad = norm, point, combined
-            base_point, base_grad = point, combined
-        else:
-            omega *= 0.5
-            base_point, base_grad = best_point, best_grad
-        step, step_jittered = spd_solve(gram, base_grad, active_set=active)
+        step, step_jittered = spd_solve(gram, residual, active_set=active)
         jittered = jittered or step_jittered
-        point = base_point - omega * step
         rounds += 1
+        if small:  # check the recurrence against the true gradient
+            residual, verified, direction = gradient(point), True, None
+            continue
+        rz = float(residual @ step)
+        direction = -step if direction is None else rz / rz_prev * direction - step
+        g_direction = gradient(point + direction) - residual
+        curv = float(direction @ g_direction)
+        if not curv > 0.0:  # G is not positive definite along the direction
+            break
+        point = point + rz / curv * direction
+        residual = residual + rz / curv * g_direction
+        rz_prev, verified = rz, False
     return SparseCoefficients(p, active, point), jittered, rounds, converged
 
 

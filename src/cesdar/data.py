@@ -524,7 +524,13 @@ def save_truth(path, truth: SparseCoefficients) -> None:
 
 
 def load_truth(path) -> SparseCoefficients:
-    """Inverse of save_truth; ValueError on an unsorted or non-finite truth."""
+    """Inverse of save_truth; IngestError naming the path on a missing key or
+    an unsorted or non-finite truth."""
     with open(path) as handle:
         payload = json.load(handle)
-    return SparseCoefficients(int(payload["dim"]), payload["support"], payload["values"])
+    try:
+        return SparseCoefficients(int(payload["dim"]), payload["support"], payload["values"])
+    except KeyError as exc:
+        raise IngestError(f"{path}: truth has no {exc.args[0]!r} key") from None
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import SimulatedCluster, cesdar_fit
+from .cluster import SimulatedCluster, _check_machines, cesdar_fit
 from .config import SolverConfig, TuningConfig
 from .data import Dataset
 from .exceptions import ConfigurationError
@@ -33,15 +33,19 @@ def _half_mse_loss(data: Dataset, beta: SparseCoefficients) -> float:
     return 0.5 * float(residual @ residual) / data.n
 
 
-def hbic(data: Dataset, beta: SparseCoefficients) -> float:
+def hbic(data: Dataset, beta: SparseCoefficients, loss: float | None = None) -> float:
     """log of the mean squared residual plus (log log n * log p / n) |supp|.
 
-    Natural logarithms throughout. A zero residual (perfect interpolation)
-    returns -inf and emits a warning; it is never swallowed silently.
+    Natural logarithms throughout. ``loss`` is beta's half-mean-square loss
+    when the caller has it already; it is recomputed otherwise. A zero
+    residual (perfect interpolation) returns -inf and emits a warning; it
+    is never swallowed silently.
     """
     if beta.dim != data.p:
         raise ValueError(f"coefficient dimension {beta.dim} does not match p={data.p}")
-    mse = 2.0 * _half_mse_loss(data, beta)  # exact: scaling by 2 rounds nothing
+    if loss is None:
+        loss = _half_mse_loss(data, beta)
+    mse = 2.0 * loss  # exact: scaling by 2 rounds nothing
     size = int(np.count_nonzero(beta.values))
     if mse == 0.0:
         warnings.warn("zero residual: HBIC is -inf (degenerate fit)", stacklevel=2)
@@ -64,7 +68,9 @@ def max_sparsity_cap(n: int, p: int, override: int | None = None) -> int:
 
 def path_cap(data: Dataset, tune: TuningConfig) -> int:
     """The largest sparsity the path sweeps: ``max_sparsity_cap`` on the
-    master-shard size floor(N/M), or ``tune.j_override``, and never above p."""
+    master-shard size floor(N/M), or ``tune.j_override``, and never above p.
+    ValueError if there are more machines than rows."""
+    _check_machines(data.n, tune.machines)
     return min(max_sparsity_cap(data.n // tune.machines, data.p, tune.j_override), data.p)
 
 
@@ -110,7 +116,7 @@ def acesdar_fit(data: Dataset, tune: TuningConfig):
             if loss > cold_loss + WARM_START_SLACK:
                 fit, loss, cold_fallback = cold, cold_loss, True
         point = PathPoint(
-            sparsity=sparsity, beta=fit.beta, hbic=hbic(data, fit.beta),
+            sparsity=sparsity, beta=fit.beta, hbic=hbic(data, fit.beta, loss),
             iterations=fit.iterations, loss=loss,
             support_size=int(np.count_nonzero(fit.beta.values)),
             cold_fallback=cold_fallback, fit=fit,

@@ -187,6 +187,13 @@ def test_tune_zero_machines_is_exit_1(runner, tmp_path):
     assert result.output == "error: tune: machines must be >= 1, got 0\n"
 
 
+def test_tune_more_machines_than_rows_is_exit_1(runner, tmp_path):
+    cache = gen_cache(runner, tmp_path, n=400, p=50, s=4, seed=3)
+    result = runner.invoke(main, ["tune", "--data", str(cache), "--machines", "500"])
+    assert result.exit_code == 1
+    assert result.output == "error: tune: machines=500 exceeds the number of rows 400\n"
+
+
 def test_tune_logs_cap_the_path_uses(runner, tmp_path):
     # An override above p is clamped to p by the sweep; the log says so.
     cache = gen_cache(runner, tmp_path, n=400, p=50, s=4, seed=3)

@@ -223,14 +223,15 @@ def test_cache_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.values, truth.values)
 
 
-@pytest.mark.parametrize("support,values,problem", [
-    ([4, 1], [1.0, 2.0], "strictly increasing"),
-    ([1, 4], [1.0, float("nan")], "finite"),
-], ids=["unsorted", "non_finite"])
-def test_load_truth_rejects_invalid(tmp_path, support, values, problem):
+@pytest.mark.parametrize("payload,problem", [
+    ({"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}, "strictly increasing"),
+    ({"dim": 8, "support": [1, 4], "values": [1.0, float("nan")]}, "finite"),
+    ({"dim": 8, "support": [1, 4]}, "truth has no 'values' key"),
+], ids=["unsorted", "non_finite", "missing_key"])
+def test_load_truth_rejects_invalid(tmp_path, payload, problem):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps({"dim": 8, "support": support, "values": values}))
-    with pytest.raises(ValueError, match=problem):
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IngestError, match=rf"t\.json: .*{problem}"):
         load_truth(path)
 
 

@@ -189,6 +189,7 @@ def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
                                                              path[i - 1].fit.d)
         ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
         assert fit.beta == ref.beta
+        assert point.hbic == hbic(data, point.beta)  # scored from the path's loss
         for name in ("d", "g"):
             assert np.array_equal(getattr(fit, name), getattr(ref, name))
         for name in ("rel_loss", "iterations", "inner_rounds", "converged"):
@@ -222,10 +223,6 @@ def test_cluster_keyword_guards(case, problem):
         _cluster_misuse(case)
 
 
-def _wire(messages):
-    return [(m.kind, m.indices.tolist(), m.reals.tolist()) for m in messages]
-
-
 def test_shared_cluster_keeps_each_fits_own_log(tmp_path):
     # Two fits on one logging cluster: each result holds only its own
     # traffic, the second less the set-up the first already exchanged.
@@ -238,10 +235,10 @@ def test_shared_cluster_keeps_each_fits_own_log(tmp_path):
         kept = fresh.ledger.entries if i == 0 else _without_setup(fresh.ledger.entries)
         assert fit.ledger.entries == kept
         own = [m for m, e in zip(fresh.messages, fresh.ledger.entries) if e in kept]
-        assert _wire(fit.messages) == _wire(own)
+        assert fit.messages == own
         path = tmp_path / f"fit{i}.bin"
         write_message_log(path, fit.messages)
-        assert _wire(read_message_log(path)) == _wire(fit.messages)
+        assert read_message_log(path) == fit.messages
 
 
 def test_ecesdar_on_shared_cluster_equals_fresh():
