@@ -1,19 +1,19 @@
 """Simulated M-machine cluster with exact per-message byte accounting.
 
 Machine 0 is the master and owns the first shard; machines 1..M-1 are
-workers that communicate with the master only through WorkerMessage values
-moved over per-worker queues. No worker ever sees another shard, and no
-message ever carries row data: payloads are |A|-length or p-length
-aggregate vectors (enforced at message construction, recorded in the
+workers that communicate with the master only through WorkerMessage values,
+each moved by one cluster method in either direction. No worker ever sees
+another shard, and no message ever carries row data: payloads are |A|-length
+or p-length aggregate vectors (audited on every transfer, recorded in the
 ledger).
 
 Protocol
 --------
 Setup (distributed variant only): every worker reports its per-column
 curvature (ReportCurvature, p reals) and its raw dual at zero (the empty
-BroadcastActiveSet, then ReportDual); the master combines the reports with
-its own shard's using sample-size weights n_m/N. Both are per dataset, so a
-cluster collects each once and every fit run on it shares them.
+BroadcastActiveSet, then ReportDual); the master adds each kind of report to
+its own shard's value with sample-size weights n_m/N. Both are per dataset,
+so a cluster collects each once and every fit run on it shares them.
 
 Per outer iteration on active set A:
 
@@ -46,7 +46,6 @@ it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +107,11 @@ SURROGATE_MAX_ROUNDS = 200
 
 @dataclass(frozen=True)
 class WorkerMessage:
-    """Tagged protocol message; byte_size is a pure function of the shape."""
+    """Tagged protocol message; its ledger size is ``message_bytes`` of its shape."""
 
     kind: str
     indices: np.ndarray
     reals: np.ndarray
-    byte_size: int = 0
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_SHAPES:
@@ -122,7 +120,6 @@ class WorkerMessage:
         reals = np.asarray(self.reals, dtype=float)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "reals", reals)
-        object.__setattr__(self, "byte_size", message_bytes(indices.size, reals.size))
 
     def __eq__(self, other):
         return (
@@ -229,38 +226,29 @@ def partition(data: Dataset, machines: int):
     """
     _check_machines(data.n, machines)
     base = data.n // machines
-    assignments = []
-    start = 0
-    for m in range(machines):
-        count = base if m < machines - 1 else data.n - start
-        assignments.append((start, count))
-        start += count
+    assignments = tuple((m * base, base if m < machines - 1 else data.n - m * base)
+                        for m in range(machines))
     shards = [data.row_slice(s, s + c) for s, c in assignments]
-    return Partition(machines, tuple(assignments)), shards
+    return Partition(machines, assignments), shards
 
 
 class _RemoteWorker:
     """One simulated worker: owns a shard, reacts to inbound messages.
 
     State is the shard, the current coefficient vector (initialized to zero
-    on both sides of the protocol) and the shard's normal equations on the
-    last anchored active set, aggregates of its own rows that never leave
-    the machine and answer each anchor on that set with one |A|x|A| product.
+    on both sides of the protocol), the reply to the last message, held until
+    the master collects it, and the shard's normal equations on the last
+    anchored active set: aggregates of its own rows that never leave the
+    machine and answer each anchor on that set with one |A|x|A| product.
     """
 
     def __init__(self, worker_id: int, shard: Dataset):
         self.worker_id = worker_id
         self.shard = shard
-        self.outbox: deque[WorkerMessage] = deque()
         self.failed = False
+        self._reply = None
         self._beta = SparseCoefficients.zeros(shard.p)
         self._normal_key = self._normal = None
-
-    def check_alive(self) -> None:
-        if self.failed:
-            raise WorkerUnavailableError(
-                f"worker {self.worker_id} is unavailable (fail-stop)", worker=self.worker_id
-            )
 
     def handle(self, message: WorkerMessage) -> None:
         if message.kind == "BroadcastAnchor":
@@ -269,19 +257,24 @@ class _RemoteWorker:
                 self._normal_key, self._normal = key, normal_equations(self.shard, message.indices)
             gram, rhs = self._normal
             grad = gram @ message.reals - rhs
-            self.outbox.append(WorkerMessage("ReportGradient", np.empty(0, np.int64), grad))
-        elif message.kind == "BroadcastActiveSet":
+            self._reply = WorkerMessage("ReportGradient", np.empty(0, np.int64), grad)
+        elif message.kind in ("BroadcastActiveSet", "BroadcastFinal"):
             self._beta = SparseCoefficients(self.shard.p, message.indices, message.reals)
-            raw = residual_correlation(self.shard, self._beta)
-            self.outbox.append(WorkerMessage("ReportDual", np.empty(0, np.int64), raw))
-        elif message.kind == "BroadcastFinal":
-            self._beta = SparseCoefficients(self.shard.p, message.indices, message.reals)
+            if message.kind == "BroadcastActiveSet":
+                raw = residual_correlation(self.shard, self._beta)
+                self._reply = WorkerMessage("ReportDual", np.empty(0, np.int64), raw)
         else:
             raise ValueError(f"worker received unexpected kind {message.kind!r}")
 
-    def curvature_report(self) -> WorkerMessage:
-        g = self.shard.column_curvature()
-        return WorkerMessage("ReportCurvature", np.empty(0, np.int64), g)
+    def reply(self, kind: str) -> WorkerMessage:
+        """The pending reply, which must be of ``kind``; ReportCurvature
+        answers no request and is computed when the master collects it."""
+        if kind == "ReportCurvature":
+            return WorkerMessage(kind, np.empty(0, np.int64), self.shard.column_curvature())
+        message, self._reply = self._reply, None
+        if message is None or message.kind != kind:
+            raise ValueError(f"worker {self.worker_id} holds no {kind} reply")
+        return message
 
 
 class SimulatedCluster:
@@ -302,8 +295,7 @@ class SimulatedCluster:
             if not 0 < fail_worker < machines:
                 raise ValueError(f"fail_worker must name a remote worker in [1, {machines - 1}]")
             self.workers[fail_worker - 1].failed = True
-        sizes = self.partition.sizes()
-        self.weights = np.array([size / data.n for size in sizes])
+        self.weights = np.array([size / data.n for size in self.partition.sizes()])
         self.ledger = CommLedger()
         self.iteration = 0
         self.messages: list[WorkerMessage] | None = [] if log_messages else None
@@ -317,48 +309,48 @@ class SimulatedCluster:
     def p(self) -> int:
         return self.data.p
 
-    def _send(self, worker: _RemoteWorker, message: WorkerMessage, active_size: int) -> None:
-        worker.check_alive()
+    def _transfer(self, worker: _RemoteWorker, kind: str, active_size: int,
+                  message: WorkerMessage | None = None) -> WorkerMessage:
+        """Move ``message`` to ``worker``, or else the worker's pending ``kind``
+        reply to the master: fail-stop check, audit, ledger row, log entry."""
+        if worker.failed:
+            raise WorkerUnavailableError(f"worker {worker.worker_id} is unavailable (fail-stop)",
+                                         worker=worker.worker_id)
+        sent = message is not None
+        message = message if sent else worker.reply(kind)
         _audit_shape(message, self.p, active_size)
-        self.ledger.record(self.iteration, message.kind, MASTER_TO_WORKER,
+        self.ledger.record(self.iteration, kind, MASTER_TO_WORKER if sent else WORKER_TO_MASTER,
                            message.n_indices, message.n_reals, worker.worker_id)
         if self.messages is not None:
             self.messages.append(message)
-        worker.handle(message)
-
-    def _receive(self, worker: _RemoteWorker, expected_kind: str, active_size: int) -> WorkerMessage:
-        worker.check_alive()
-        message = worker.outbox.popleft()
-        if message.kind != expected_kind:
-            raise ValueError(f"expected {expected_kind}, worker sent {message.kind}")
-        _audit_shape(message, self.p, active_size)
-        self.ledger.record(self.iteration, message.kind, WORKER_TO_MASTER,
-                           message.n_indices, message.n_reals, worker.worker_id)
-        if self.messages is not None:
-            self.messages.append(message)
+        if sent:
+            worker.handle(message)
         return message
+
+    def combine(self, master_share: np.ndarray, replies) -> np.ndarray:
+        """n_0/N * master_share + sum_m n_m/N * reply_m, added in machine
+        order: the full-sample value of a per-machine mean."""
+        for m, share in enumerate((master_share, *replies)):
+            term = self.weights[m] * share
+            total = term if m == 0 else total + term
+        return total
 
     def broadcast(self, kind: str, indices: np.ndarray, reals: np.ndarray) -> None:
         message = WorkerMessage(kind, indices, reals)
         for worker in self.workers:
-            self._send(worker, message, indices.size)
+            self._transfer(worker, kind, indices.size, message)
 
     def collect_gradients(self, active: np.ndarray) -> list[np.ndarray]:
         """ReportGradient payloads in worker-index order."""
-        return [self._receive(w, "ReportGradient", active.size).reals for w in self.workers]
+        return [self._transfer(w, "ReportGradient", active.size).reals for w in self.workers]
 
     def collect_duals(self) -> list[np.ndarray]:
-        return [self._receive(w, "ReportDual", 0).reals for w in self.workers]
+        return [self._transfer(w, "ReportDual", 0).reals for w in self.workers]
 
     def collect_curvature(self) -> np.ndarray:
         """Sample-weighted combination of all machine curvatures."""
-        total = self.weights[0] * self.master_shard.column_curvature()
-        for idx, worker in enumerate(self.workers, start=1):
-            worker.check_alive()
-            worker.outbox.append(worker.curvature_report())
-            message = self._receive(worker, "ReportCurvature", 0)
-            total = total + self.weights[idx] * message.reals
-        return total
+        return self.combine(self.master_shard.column_curvature(),
+                            [self._transfer(w, "ReportCurvature", 0).reals for w in self.workers])
 
     def curvature(self) -> np.ndarray:
         if self._curvature is None:
@@ -370,11 +362,10 @@ class SimulatedCluster:
         """Sample-weighted X'(y - X beta)/N; the zero point's is exchanged once."""
         if beta.support.size == 0 and self._zero_dual is not None:
             return self._zero_dual
-        combined = self.weights[0] * residual_correlation(self.master_shard, beta)
+        master = residual_correlation(self.master_shard, beta)
         # Ship the iterate, then every worker reports its raw dual there.
         self.broadcast("BroadcastActiveSet", beta.support, beta.values)
-        for w_idx, raw in enumerate(self.collect_duals(), start=1):
-            combined = combined + self.weights[w_idx] * raw
+        combined = self.combine(master, self.collect_duals())
         if beta.support.size == 0:
             combined.flags.writeable = False
             self._zero_dual = combined
@@ -413,11 +404,9 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
 
     def gradient(at: np.ndarray) -> np.ndarray:
         """One exchange: the full-sample gradient on ``active`` at ``at``."""
-        combined = cluster.weights[0] * (gram @ at - rhs)
+        master = gram @ at - rhs
         cluster.broadcast("BroadcastAnchor", active, at)
-        for w_idx, grad in enumerate(cluster.collect_gradients(active), start=1):
-            combined = combined + cluster.weights[w_idx] * grad
-        return combined
+        return cluster.combine(master, cluster.collect_gradients(active))
 
     g_active = curvature[active]
     tol = SURROGATE_TOL * max(1.0, float(np.abs(point).max()))
@@ -481,21 +470,15 @@ class _MasterOnlyEngine(_ClusterEngine):
     per-iteration worker traffic is O(|A|) reals instead of O(p).
     """
 
-    _g = None
-
     def curvature(self) -> np.ndarray:
-        if self._g is None:
-            shard = self.cluster.master_shard
-            g = shard.column_curvature()
-            dead = np.flatnonzero(g == 0.0)
-            if dead.size:
-                name = shard.feature_names[dead[0]]
-                raise DegenerateColumnError(
-                    f"column {dead[0]} ({name!r}) is all zero on machine 0, the master shard",
-                    column=name,
-                )
-            self._g = g
-        return self._g
+        shard = self.cluster.master_shard
+        g = shard.column_curvature()
+        dead = np.flatnonzero(g == 0.0)
+        if dead.size:
+            name = shard.feature_names[dead[0]]
+            raise DegenerateColumnError(f"column {dead[0]} ({name!r}) is all zero on machine 0, "
+                                        "the master shard", column=name)
+        return g
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         return residual_correlation(self.cluster.master_shard, beta)

@@ -104,8 +104,18 @@ class ExperimentConfig:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigurationError("config JSON must be a flat object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        known = {f.name: f.type for f in dataclasses.fields(cls)}  # type: annotation text
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            types, expected = _JSON_TYPES[known[key]]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigurationError(f"config key {key!r} must be {expected}, "
+                                         f"got {json.dumps(value)}")
         return cls(**data)
+
+
+# The JSON values each field annotation accepts; a bool (a Python int) fits none.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "str": (str, "a string"), "int | None": ((int, type(None)), "an integer or null")}

@@ -51,8 +51,9 @@ class Dataset:
     """Dense design matrix X (n x p) with response y and column names.
 
     Rejects non-finite entries and zero-norm columns at construction so the
-    solvers never have to re-validate. ``column_curvature`` (the per-column
-    squared norms over n) is cached; it does not depend on any iterate.
+    solvers never have to re-validate, and (shards too) scaling metadata the
+    cache cannot store. ``column_curvature`` (the per-column squared norms
+    over n) is cached; it does not depend on any iterate.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -72,6 +73,10 @@ class Dataset:
         self.column_scales = None if column_scales is None else np.asarray(column_scales, float)
         self.y_mean = y_mean
         self.y_scale = y_scale
+        if self.standardized and not np.shape(column_means) == np.shape(column_scales) == (self.p,):
+            raise ValueError(f"standardized data needs {self.p} column_means and column_scales")
+        if (y_mean is None) != (y_scale is None):
+            raise ValueError("y_mean and y_scale must be given together")
         self._curvature = None
         if _validate:
             self._validate()

@@ -148,6 +148,21 @@ def test_bench_from_config_file(runner, tmp_path):
     assert (out / "table.csv").exists()
 
 
+@pytest.mark.parametrize("config,problem", [
+    ({"n": "abc"}, "'n' must be an integer, got \"abc\""),
+    ({"p": 50.5}, "'p' must be an integer, got 50.5"),
+    ({"replicates": True}, "'replicates' must be an integer, got true"),
+], ids=["string_n", "float_p", "bool_replicates"])
+def test_bench_config_with_mistyped_value_is_exit_1(runner, tmp_path, config, problem):
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["bench", "--config", str(path),
+                                  "--out-dir", str(tmp_path / "bench")])
+    assert result.exit_code == 1
+    assert result.output == f"error: bench: config key {problem}\n"
+    assert not (tmp_path / "bench").exists()
+
+
 def test_tune_writes_path_and_model(runner, tmp_path):
     cache = gen_cache(runner, tmp_path, n=400, p=30, s=3, seed=2)
     path_csv = tmp_path / "path.csv"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import cesdar.cluster as cluster_module
 from cesdar.cluster import (
@@ -372,12 +372,21 @@ def test_audit_rejects_off_protocol_payload():
 
 # --- failure and logging ------------------------------------------------------
 
-def test_worker_failure_is_fail_stop():
+@pytest.mark.parametrize("failed", [1, 3], ids=["first_worker", "last_worker"])
+@pytest.mark.parametrize("fit,first_kind", [
+    (cesdar_fit, "ReportCurvature"),
+    (ecesdar_fit, "BroadcastAnchor"),
+], ids=["cesdar", "ecesdar"])
+def test_worker_failure_is_fail_stop(fit, first_kind, failed):
+    # The fit's first transfer reaches the workers before the failed one and
+    # stops at it: nothing crosses to or from the failed worker.
     data, _ = generate(SyntheticSpec(n=100, p=10, s=2, seed=15))
-    with pytest.raises(WorkerUnavailableError) as err:
-        cesdar_fit(data, 4, SolverConfig(sparsity=2),
-                   cluster=SimulatedCluster(data, 4, fail_worker=2))
-    assert err.value.worker == 2
+    cluster = SimulatedCluster(data, 4, fail_worker=failed)
+    with pytest.raises(WorkerUnavailableError, match=f"worker {failed} is unavailable") as err:
+        fit(data, 4, SolverConfig(sparsity=2), cluster=cluster)
+    assert err.value.worker == failed
+    assert [(e.kind, e.worker) for e in cluster.ledger.entries] == \
+        [(first_kind, worker) for worker in range(1, failed)]
 
 
 def test_master_shard_zero_column():
@@ -444,14 +453,19 @@ def _record_offsets(blob):
     return offsets
 
 
+def _small_fit_messages(machines=3):
+    """The logged messages of a small CESDAR fit."""
+    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
+    return cesdar_fit(data, machines, SolverConfig(sparsity=2),
+                      cluster=SimulatedCluster(data, machines, log_messages=True)).messages
+
+
 def _write_small_log(tmp_path, machines=3):
     """Message log of a small CESDAR fit; returns its path and messages."""
-    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, machines, SolverConfig(sparsity=2),
-                        cluster=SimulatedCluster(data, machines, log_messages=True))
+    messages = _small_fit_messages(machines)
     path = tmp_path / "messages.bin"
-    write_message_log(path, result.messages)
-    return path, result.messages
+    write_message_log(path, messages)
+    return path, messages
 
 
 def test_message_log_cut_at_any_record_boundary_is_ingest_error(tmp_path):
@@ -477,11 +491,6 @@ def test_message_log_end_record_is_checked(tmp_path, miscount, extra):
     problem = f"counts {count - miscount} messages of {count}, then {extra} bytes"
     with pytest.raises(IngestError, match=rf"messages\.bin: end record at byte \d+ {problem}"):
         read_message_log(path)
-
-
-def test_empty_message_log_round_trips(tmp_path):
-    path, messages = _write_small_log(tmp_path, machines=1)
-    assert messages == [] and read_message_log(path) == []
 
 
 # Each case overwrites one header field of the first record of a kind:
@@ -510,14 +519,35 @@ def test_corrupt_message_log_is_ingest_error(tmp_path, kind, fmt, field, value, 
         read_message_log(path)
 
 
-def test_message_log_round_trip(tmp_path):
-    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, 3, SolverConfig(sparsity=2),
-                        cluster=SimulatedCluster(data, 3, log_messages=True))
+@st.composite
+def protocol_messages(draw):
+    """A list of messages of protocol shape in one dimension p: per message
+    a kind and an active-set size, sorted distinct indices and finite reals."""
+    p = draw(st.integers(1, 20))
+    messages = []
+    for kind in draw(st.lists(st.sampled_from(MESSAGE_KINDS), max_size=8)):
+        size = draw(st.integers(0, p))
+        counts = {"none": 0, "active": size, "p": p}
+        idx_shape, real_shape = PROTOCOL_SHAPES[kind]
+        indices = draw(st.lists(st.integers(0, p - 1), min_size=counts[idx_shape],
+                                max_size=counts[idx_shape], unique=True))
+        reals = draw(st.lists(st.floats(allow_nan=False), min_size=counts[real_shape],
+                              max_size=counts[real_shape]))
+        messages.append(WorkerMessage(kind, sorted(indices), reals))
+    return messages
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(messages=protocol_messages())
+@example(messages=[])
+@example(messages=_small_fit_messages())
+def test_message_log_round_trip(tmp_path, messages):
     path = tmp_path / "messages.bin"
-    write_message_log(path, result.messages)
-    back = read_message_log(path)
-    assert back == result.messages
+    write_message_log(path, messages)
+    assert read_message_log(path) == messages
+    words = sum(m.n_indices + m.n_reals for m in messages)
+    assert path.stat().st_size == 13 * len(messages) + 8 * words + 13
 
 
 def test_worker_message_equality_compares_content():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cesdar.config import ExperimentConfig
 from cesdar.data import (
@@ -206,23 +207,6 @@ def test_split_uses_train_statistics(tmp_path):
     assert np.abs(test.x.mean(axis=0)).max() > 1e-6
 
 
-def test_cache_round_trip_bit_exact(tmp_path):
-    data, truth = generate(SyntheticSpec(n=30, p=8, s=2, seed=10))
-    path = tmp_path / "d.bin"
-    save_cache(path, data)
-    loaded = load_cache(path)
-    assert np.array_equal(loaded.x, data.x)
-    assert np.array_equal(loaded.y, data.y)
-    assert loaded.feature_names == data.feature_names
-    assert loaded.standardized == data.standardized
-
-    tpath = tmp_path / "t.json"
-    save_truth(tpath, truth)
-    back = load_truth(tpath)
-    assert np.array_equal(back.support, truth.support)
-    assert np.array_equal(back.values, truth.values)
-
-
 @pytest.mark.parametrize("payload,problem", [
     ({"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}, "strictly increasing"),
     ({"dim": 8, "support": [1, 4], "values": [1.0, float("nan")]}, "finite"),
@@ -235,17 +219,58 @@ def test_load_truth_rejects_invalid(tmp_path, payload, problem):
         load_truth(path)
 
 
-def test_cache_round_trip_standardized(tmp_path):
-    x = np.random.default_rng(0).standard_normal((12, 3))
-    data = Dataset(x, x[:, 0] * 2.0, standardized=True,
-                   column_means=np.zeros(3), column_scales=np.ones(3),
-                   y_mean=0.5, y_scale=2.0)
-    path = tmp_path / "s.bin"
+# The two examples are the former fixed cases: a 30x8 plain dataset with its
+# truth file, and a 12x3 standardized one with response scaling.
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 30), names=st.lists(st.text(), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), standardized=st.booleans(), y_scaled=st.booleans())
+@example(n=30, names=[f"x{j}" for j in range(8)], seed=10, standardized=False, y_scaled=False)
+@example(n=12, names=["x0", "x1", "x2"], seed=0, standardized=True, y_scaled=True)
+@example(n=1, names=["", "\u00e9", "\u6570\u636e", "\U0001f600"], seed=1,
+         standardized=True, y_scaled=False)
+def test_cache_round_trip_bit_exact(tmp_path, n, names, seed, standardized, y_scaled):
+    p = len(names)
+    plain, truth = generate(SyntheticSpec(n=n, p=p, s=min(2, p), seed=seed))
+    rng = np.random.default_rng(seed)
+    scaling = dict(column_means=rng.standard_normal(p), column_scales=rng.uniform(0.5, 2.0, p))
+    if y_scaled:
+        scaling.update(y_mean=float(rng.standard_normal()), y_scale=float(rng.uniform(0.5, 2.0)))
+    data = Dataset(plain.x, plain.y, names, standardized=standardized, **scaling)
+    path = tmp_path / "d.bin"
     save_cache(path, data)
     loaded = load_cache(path)
-    assert loaded.standardized
-    assert np.array_equal(loaded.column_means, data.column_means)
-    assert (loaded.y_mean, loaded.y_scale) == (0.5, 2.0)
+    assert np.array_equal(loaded.x, data.x) and np.array_equal(loaded.y, data.y)
+    assert loaded.feature_names == names
+    assert loaded.standardized == standardized
+    if standardized:
+        assert np.array_equal(loaded.column_means, data.column_means)
+        assert np.array_equal(loaded.column_scales, data.column_scales)
+    else:
+        assert loaded.column_means is None and loaded.column_scales is None
+    assert (loaded.y_mean, loaded.y_scale) == (data.y_mean, data.y_scale)
+
+    tpath = tmp_path / "t.json"
+    save_truth(tpath, truth)
+    back = load_truth(tpath)
+    assert np.array_equal(back.support, truth.support)
+    assert np.array_equal(back.values, truth.values)
+
+
+@pytest.mark.parametrize("scaling,problem", [
+    (dict(standardized=True), "needs 3 column_means and column_scales"),
+    (dict(standardized=True, column_means=np.zeros(3), column_scales=np.ones(2)),
+     "needs 3 column_means and column_scales"),
+    (dict(y_mean=0.5), "y_mean and y_scale must be given together"),
+    (dict(y_scale=2.0), "y_mean and y_scale must be given together"),
+], ids=["standardized_without_stats", "short_scales", "y_mean_alone", "y_scale_alone"])
+@pytest.mark.parametrize("validate", [True, False], ids=["checked", "shard"])
+def test_dataset_rejects_inconsistent_scaling(scaling, problem, validate):
+    # Such a dataset used to be accepted, and save_cache then wrote a file
+    # load_cache rejects or died with struct.error.
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    with pytest.raises(ValueError, match=problem):
+        Dataset(x, x[:, 0], _validate=validate, **scaling)
 
 
 def test_cache_rejects_bad_magic(tmp_path):
