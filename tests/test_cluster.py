@@ -550,6 +550,11 @@ def test_message_log_round_trip(tmp_path, messages):
     assert path.stat().st_size == 13 * len(messages) + 8 * words + 13
 
 
+def test_empty_message_log_round_trips(tmp_path):
+    path, messages = _write_small_log(tmp_path, machines=1)
+    assert messages == [] and read_message_log(path) == []
+
+
 def test_worker_message_equality_compares_content():
     anchor = WorkerMessage("BroadcastAnchor", [1, 4], [0.5, -2.0])
     assert anchor == WorkerMessage("BroadcastAnchor", np.array([1, 4]), np.array([0.5, -2.0]))

@@ -257,6 +257,19 @@ def test_cache_round_trip_bit_exact(tmp_path, n, names, seed, standardized, y_sc
     assert np.array_equal(back.values, truth.values)
 
 
+def test_cache_round_trip_standardized(tmp_path):
+    x = np.random.default_rng(0).standard_normal((12, 3))
+    data = Dataset(x, x[:, 0] * 2.0, standardized=True,
+                   column_means=np.zeros(3), column_scales=np.ones(3),
+                   y_mean=0.5, y_scale=2.0)
+    path = tmp_path / "s.bin"
+    save_cache(path, data)
+    loaded = load_cache(path)
+    assert loaded.standardized
+    assert np.array_equal(loaded.column_means, data.column_means)
+    assert (loaded.y_mean, loaded.y_scale) == (0.5, 2.0)
+
+
 @pytest.mark.parametrize("scaling,problem", [
     (dict(standardized=True), "needs 3 column_means and column_scales"),
     (dict(standardized=True, column_means=np.zeros(3), column_scales=np.ones(2)),
