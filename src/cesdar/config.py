@@ -79,10 +79,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {self._ALGOS}"
             )
-        if self.s > self.p:
-            raise ConfigurationError(f"s={self.s} exceeds p={self.p}")
+        for key in ("p", "n_test", "replicates"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0 <= self.s <= self.p:
+            raise ConfigurationError(f"s={self.s} must lie in [0, p={self.p}]")
+        if self.noise_sd < 0:
+            raise ConfigurationError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.machines < 1 or self.machines > self.n:
             raise ConfigurationError(f"machines must lie in [1, n], got {self.machines}")
+        # sparsity, tau, max_iter and step: checked here, not once per trial
+        self.solver_config()
+        self.tuning_config()
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(sparsity=self.sparsity, tau=self.tau, max_iter=self.max_iter)

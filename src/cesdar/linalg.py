@@ -69,15 +69,17 @@ def spd_solve(a: np.ndarray, b: np.ndarray, active_set=None):
         raise ValueError("spd_solve expects an exactly symmetric matrix")
     if a.shape[0] == 0:
         return np.zeros(0), False
+    # Both inputs are checked above, so scipy need not scan them again.
     try:
-        return cho_solve(cho_factor(a, lower=True), b), False
+        return cho_solve(cho_factor(a, lower=True, check_finite=False), b,
+                         check_finite=False), False
     except LinAlgError:
         pass
     dim = a.shape[0]
     jitter = 1e-10 * np.trace(a) / dim
     try:
-        factor = cho_factor(a + jitter * np.eye(dim), lower=True)
-        return cho_solve(factor, b), True
+        factor = cho_factor(a + jitter * np.eye(dim), lower=True, check_finite=False)
+        return cho_solve(factor, b, check_finite=False), True
     except LinAlgError:
         raise SingularSystemError(
             f"active-set system of dimension {dim} singular even after jitter {jitter:g}",

@@ -82,12 +82,15 @@ def detect_active(beta: SparseCoefficients, d: np.ndarray, g: np.ndarray,
     exposed for diagnostics.
     """
     keys = detection_keys(beta, d, g, tau)
-    if sparsity > keys.shape[0]:
-        raise ValueError(f"sparsity {sparsity} exceeds dimension {keys.shape[0]}")
-    order = np.argsort(-keys, kind="stable")
-    chosen = order[:sparsity]
-    threshold = float(keys[chosen[-1]])
-    return ActiveSelection(np.sort(chosen), threshold)
+    p = keys.shape[0]
+    if sparsity > p:
+        raise ValueError(f"sparsity {sparsity} exceeds dimension {p}")
+    threshold = np.partition(keys, p - sparsity)[p - sparsity]
+    chosen = np.flatnonzero(keys >= threshold)
+    if chosen.size > sparsity:  # ties at the threshold: drop the largest tied indices
+        tied = chosen[keys[chosen] == threshold]
+        chosen = np.setdiff1d(chosen, tied[sparsity - chosen.size:])
+    return ActiveSelection(chosen, float(threshold))
 
 
 def normal_equations(data: Dataset, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

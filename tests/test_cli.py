@@ -163,6 +163,23 @@ def test_bench_config_with_mistyped_value_is_exit_1(runner, tmp_path, config, pr
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("config,problem", [
+    ({"sparsity": 0}, "sparsity must be >= 1, got 0"),
+    ({"n_test": 0}, "n_test must be >= 1, got 0"),
+    ({"replicates": 0}, "replicates must be >= 1, got 0"),
+    ({"s": -1}, "s=-1 must lie in [0, p=100]"),
+    ({"tau": 1.5}, "tau must lie in (0, 1], got 1.5"),
+], ids=["sparsity", "n_test", "replicates", "s", "tau"])
+def test_bench_config_out_of_range_is_exit_1(runner, tmp_path, config, problem):
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"n": 200, "p": 100, "s": 2, "replicates": 1, **config}))
+    result = runner.invoke(main, ["bench", "--config", str(path),
+                                  "--out-dir", str(tmp_path / "bench")])
+    assert result.exit_code == 1
+    assert result.output == f"error: bench: {problem}\n"
+    assert not (tmp_path / "bench").exists()
+
+
 def test_tune_writes_path_and_model(runner, tmp_path):
     cache = gen_cache(runner, tmp_path, n=400, p=30, s=3, seed=2)
     path_csv = tmp_path / "path.csv"

@@ -1,5 +1,12 @@
+import contextlib
+import os
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +30,10 @@ from cesdar.cluster import (
     write_message_log,
 )
 from cesdar.config import SolverConfig
-from cesdar.data import Dataset, SyntheticSpec, generate
+from cesdar.data import Dataset, SparseCoefficients, SyntheticSpec, generate
 from cesdar.exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
 from cesdar.linalg import spd_solve
-from cesdar.sdar import esdar_fit, kkt_residual, root_find_local
+from cesdar.sdar import esdar_fit, kkt_residual, residual_correlation, root_find_local
 
 
 def bitwise_equal(a, b):
@@ -191,6 +198,22 @@ def test_surrogate_conjugate_gradient_property(size, spare_rows, spare_cols, mac
     assert np.abs(beta.dense() - oracle.dense()).max() <= 1e-9 * np.abs(oracle.values).max()
     assert rounds <= 2 * size + 2
     assert len(solves) == anchors == rounds + 1
+
+
+@pytest.mark.parametrize("machines", [2, 4])
+def test_surrogate_stop_scale_follows_the_point(machines):
+    # Master shard of exactly |A| rows: H1 is barely regular (condition
+    # number near 1e13) and the start point lands far off. A stop tolerance
+    # scaled by that point accepted a gradient of 3.7e-7 at machines=2.
+    size = 12
+    data, _ = generate(SyntheticSpec(n=machines * size, p=size + 28, s=size, seed=0))
+    active = np.sort(np.random.default_rng(0).choice(data.p, size, replace=False))
+    cluster = SimulatedCluster(data, machines)
+    beta, _, _, converged = surrogate_root_find(cluster, active, cluster.curvature())
+    oracle, _ = root_find_local(data, active)
+    assert converged
+    assert np.abs(beta.dense() - oracle.dense()).max() <= 1e-9 * np.abs(oracle.values).max()
+    assert np.abs(residual_correlation(data, beta)[active]).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,3 +586,80 @@ def test_worker_message_equality_compares_content():
     assert anchor != WorkerMessage("ReportGradient", [], [0.5, -2.0])
     assert anchor != (anchor.kind, anchor.indices, anchor.reals)
     assert [anchor, anchor] == [anchor, WorkerMessage("BroadcastAnchor", [1, 4], [0.5, -2.0])]
+
+
+# --- concurrent passes ---------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(12, 300), p=st.integers(1, 50), machines=st.integers(2, 6),
+       cores=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_concurrent_passes_match_serial(n, p, machines, cores, seed):
+    # The machines' p-length passes run in one block per core, here on any
+    # data size; each share, the weighted sum and the message order must be
+    # those of a serial run.
+    assume(n >= machines)
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
+    _, shards = partition(data, machines)
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)), replace=False))
+    beta = SparseCoefficients(p, support, rng.standard_normal(support.size))
+    cluster = SimulatedCluster(data, machines, log_messages=True)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_module, "CONCURRENT_MIN_ENTRIES", 0)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            curvature = cluster.curvature()
+            dual = cluster.raw_dual(beta)
+        finally:
+            sys.setswitchinterval(interval)
+    serial = [shard.column_curvature() for shard in shards]
+    assert np.array_equal(curvature, cluster.combine(serial[0], serial[1:]))
+    serial = [residual_correlation(shard, beta) for shard in shards]
+    assert np.array_equal(dual, cluster.combine(serial[0], serial[1:]))
+    workers = range(1, machines)
+    assert [(e.kind, e.direction, e.worker) for e in cluster.ledger.entries] == (
+        [("ReportCurvature", WORKER_TO_MASTER, w) for w in workers]
+        + [("BroadcastActiveSet", MASTER_TO_WORKER, w) for w in workers]
+        + [("ReportDual", WORKER_TO_MASTER, w) for w in workers])
+    sent = WorkerMessage("BroadcastActiveSet", support, beta.values)
+    assert cluster.messages == (
+        [WorkerMessage("ReportCurvature", [], shard.column_curvature()) for shard in shards[1:]]
+        + [sent] * (machines - 1)
+        + [WorkerMessage("ReportDual", [], share) for share in serial[1:]])
+
+
+def test_forked_cells_run_after_a_concurrent_fit():
+    # A fit on several machines leaves the pass pool running, and a parallel
+    # cell then forks worker processes, which must make their own pool. In
+    # a child interpreter, so that a deadlock fails on the timeout.
+    script = textwrap.dedent("""
+        import os
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import cesdar.cluster as cluster
+        cluster.CONCURRENT_MIN_ENTRIES = 0
+        from cesdar.config import ExperimentConfig, SolverConfig
+        from cesdar.data import SyntheticSpec, generate
+        from cesdar.metrics import run_cell
+
+        data, _ = generate(SyntheticSpec(n=400, p=30, s=3, seed=1))
+        cluster.cesdar_fit(data, 4, SolverConfig(sparsity=3))
+        assert cluster._pool is not None
+        config = ExperimentConfig(algorithm="cesdar", n=300, p=30, s=3, sparsity=3,
+                                  machines=2, replicates=3, base_seed=50, n_test=200)
+        serial, ts = run_cell(config, jobs=1)
+        parallel, tp = run_cell(config, jobs=2)
+        assert all(a.beta_hat == b.beta_hat for a, b in zip(ts, tp))
+        assert serial.aee_mean == parallel.aee_mean
+    """)
+    src = Path(cluster_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # Its own session, so that a timeout also ends the forked processes.
+    child = subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True)
+    try:
+        assert child.wait(timeout=120) == 0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cesdar.config import SolverConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
@@ -49,6 +50,26 @@ def test_detect_active_returns_exactly_t():
         beta = SparseCoefficients.from_dense(rng.standard_normal(p))
         sel = detect_active(beta, rng.standard_normal(p), np.abs(rng.standard_normal(p)) + 0.1, t, 0.5)
         assert sel.indices.size == t
+
+
+def argsort_top(keys, sparsity):
+    """Reference selection: a stable sort of the negated keys, cut at T."""
+    chosen = np.argsort(-keys, kind="stable")[:sparsity]
+    return np.sort(chosen), float(keys[chosen[-1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), levels=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+       p=st.integers(1, 60))
+def test_detect_active_matches_stable_argsort(data, levels, p):
+    # Keys drawn from at most four values, so most cuts fall inside a tie.
+    picks = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=p, max_size=p))
+    keys = np.array(levels)[picks]
+    sparsity = data.draw(st.integers(1, p))
+    sel = detect_active(SparseCoefficients.zeros(p), keys, np.ones(p), sparsity, 1.0)
+    indices, threshold = argsort_top(keys, sparsity)
+    assert np.array_equal(sel.indices, indices) and sel.indices.dtype == np.int64
+    assert sel.threshold.hex() == threshold.hex()
 
 
 def test_detect_active_rescale_invariance():
