@@ -36,11 +36,12 @@ Per outer iteration on active set A:
   both messages and uses master-shard curvature and duals instead.
 
 The machines' p-length passes (curvature, raw dual) run concurrently on
-data of at least ``CONCURRENT_MIN_ENTRIES`` (N * p), one contiguous block
-of machines per available core, after every request has gone out and
-before any reply is collected. Transfers keep worker order and each pass
-is the same call as in a serial run, so results are bitwise those of
-running the machines one after another.
+data of at least ``CONCURRENT_MIN_ENTRIES`` entries (N * p) and
+``CONCURRENT_MIN_COLUMNS`` columns, one contiguous block of machines per
+core that is free for them (see ``_pass_blocks``), after every request
+has gone out and before any reply is collected. Transfers keep worker
+order and each pass is the same call as in a serial run, so results are
+bitwise those of running the machines one after another.
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate, so no fit needs to reset the
@@ -52,6 +53,7 @@ it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -63,7 +65,7 @@ import numpy as np
 from .config import SolverConfig
 from .data import Dataset, _ByteReader
 from .exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
-from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
+from .linalg import blas_threads, gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
 from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
                    residual_correlation)
 
@@ -245,11 +247,17 @@ def partition(data: Dataset, machines: int):
 # Process-wide threads for the machines' concurrent passes, made on first use.
 _pool: ThreadPoolExecutor | None = None
 
-# Matrix entries (N * p) from which the machines' passes run concurrently.
-# Below it, handing a block to a thread costs more than the block's pass:
-# at N=5000, p=25 a CESDAR fit on 2 machines took 1.5x as long concurrently
+# Data shapes on which the machines' passes run concurrently: at least
+# CONCURRENT_MIN_ENTRIES matrix entries (N * p) and CONCURRENT_MIN_COLUMNS
+# columns. Below the first, handing a block to a thread costs more than the
+# block's pass (N=5000, p=25: a CESDAR fit on 2 machines took 1.5x as long).
+# Below the second the concurrent raw dual lost at every shape measured,
+# 20000x100, 20000x250, 8000x500 and 16000x500 on 4-8 machines, by 1.1x to
+# 1.8x, while shapes of 1000 to 4000 columns on 4 machines, 2000x4000 among
+# them, gained (to 0.6x of the serial time) or tied when the host was busy
 # (2-core host, single-threaded BLAS).
 CONCURRENT_MIN_ENTRIES = 1 << 22
+CONCURRENT_MIN_COLUMNS = 1000
 
 
 def _forget_pool() -> None:
@@ -262,6 +270,22 @@ if hasattr(os, "register_at_fork"):  # no fork, so nothing to forget, on Windows
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _pass_blocks() -> int:
+    """How many machines' passes can really run at once in this process.
+
+    One per core it may run on, but one in all when BLAS is threaded or its
+    thread count unknown (each pass already spreads over the cores: with two
+    BLAS threads on 2 cores concurrent passes took 1.03-1.21x the serial
+    time), and in a multiprocessing child such as a ``run_cell`` job, whose
+    siblings share the cores.
+    """
+    if multiprocessing.parent_process() is not None or blas_threads() != 1:
+        return 1
+    # The cores this process may run on; macOS and Windows report no affinity.
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _run_block(calls) -> list:
     return [call() for call in calls]
 
@@ -269,20 +293,18 @@ def _run_block(calls) -> list:
 def _run_concurrently(calls) -> list:
     """Results of the zero-argument ``calls``, in order.
 
-    The calls are split into one contiguous block per available core; the
+    The calls are split into one contiguous block per ``_pass_blocks``; the
     first block runs on the calling thread, the others on the pool. Every
     block has finished when this returns, also when one of them raised.
     """
     global _pool
-    # The cores this process may run on; macOS and Windows report no affinity.
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    blocks = min(cores, len(calls))
+    most = _pass_blocks()
+    blocks = min(most, len(calls))
     if blocks < 2:
         return _run_block(calls)
     bounds = [len(calls) * b // blocks for b in range(blocks + 1)]
     if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=cores - 1, thread_name_prefix="cesdar-pass")
+        _pool = ThreadPoolExecutor(max_workers=most - 1, thread_name_prefix="cesdar-pass")
     futures = [_pool.submit(_run_block, calls[start:stop])
                for start, stop in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -421,10 +443,11 @@ class SimulatedCluster:
 
     def _work(self, kind: str, master_pass) -> np.ndarray:
         """Every machine's p-length pass, at once on data of at least
-        ``CONCURRENT_MIN_ENTRIES``: ``master_pass`` on the master, ``kind`` on
-        each live worker. Returns the master's share."""
+        ``CONCURRENT_MIN_ENTRIES`` entries and ``CONCURRENT_MIN_COLUMNS``
+        columns: ``master_pass`` on the master, ``kind`` on each live worker.
+        Returns the master's share."""
         calls = [master_pass, *(partial(w.work, kind) for w in self.workers if not w.failed)]
-        if self.data.n * self.p < CONCURRENT_MIN_ENTRIES:
+        if self.p < CONCURRENT_MIN_COLUMNS or self.data.n * self.p < CONCURRENT_MIN_ENTRIES:
             return _run_block(calls)[0]
         return _run_concurrently(calls)[0]
 

@@ -6,12 +6,15 @@ build), which the M=1 reduction tests rely on.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import SingularSystemError
 
-__all__ = ["gram_submatrix", "spd_solve"]
+__all__ = ["blas_threads", "gram_submatrix", "spd_solve"]
 
 # Guard against runaway active sets; |A| stays in the tens in normal use.
 MAX_SPD_DIM = 10_000
@@ -85,3 +88,32 @@ def spd_solve(a: np.ndarray, b: np.ndarray, active_set=None):
             f"active-set system of dimension {dim} singular even after jitter {jitter:g}",
             active_set=active_set,
         ) from None
+
+
+@functools.cache
+def _openblas_thread_queries() -> tuple:
+    """The thread-count query of every loaded OpenBLAS (numpy and scipy each
+    bundle one); none where the process maps cannot be read (not Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    queries = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(handle, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                queries.append(query)
+                break
+    return tuple(queries)
+
+
+def blas_threads() -> int | None:
+    """Most threads a loaded OpenBLAS runs one call on, or None if no BLAS
+    answers (another BLAS, or no process maps)."""
+    counts = [query() for query in _openblas_thread_queries()]
+    return max(counts) if counts else None
