@@ -96,12 +96,18 @@ def _openblas_thread_queries() -> tuple:
     bundle one); none where the process maps cannot be read (not Linux)."""
     try:
         with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+            # The path is the sixth field and may hold spaces.
+            mappings = [line.split(maxsplit=5) for line in maps]
     except OSError:
         return ()
+    libs = sorted({fields[5].strip() for fields in mappings
+                   if len(fields) == 6 and "openblas" in fields[5].lower()})
     queries = []
     for lib in libs:
-        handle = ctypes.CDLL(lib)
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # replaced on disk since it was loaded ("... (deleted)")
+            continue
         for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                        "openblas_get_num_threads64_", "openblas_get_num_threads"):
             query = getattr(handle, symbol, None)
