@@ -293,8 +293,8 @@ def _run_block(calls) -> list:
 def _run_concurrently(calls) -> list:
     """Results of the zero-argument ``calls``, in order.
 
-    The calls are split into one contiguous block per ``_pass_blocks``; the
-    first block runs on the calling thread, the others on the pool. Every
+    The calls are split into at most ``_pass_blocks()`` contiguous blocks;
+    the first runs on the calling thread, the others on the pool. Every
     block has finished when this returns, also when one of them raised.
     """
     global _pool
