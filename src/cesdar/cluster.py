@@ -37,9 +37,10 @@ Per outer iteration on active set A:
 
 The machines' p-length passes (curvature, raw dual) run concurrently on
 data of at least ``CONCURRENT_MIN_ENTRIES`` entries (N * p) and
-``CONCURRENT_MIN_COLUMNS`` columns, one contiguous block of machines per
-core that is free for them (see ``_pass_blocks``), after every request
-has gone out and before any reply is collected. Transfers keep worker
+``CONCURRENT_MIN_COLUMNS`` columns, on one thread per core that is free
+for them (see ``_pass_threads``), each taking the next machine's pass
+until none is left, after every request has gone out and before any
+reply is collected. Transfers keep worker
 order and each pass is the same call as in a serial run, so results are
 bitwise those of running the machines one after another.
 
@@ -56,6 +57,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -249,8 +251,8 @@ _pool: ThreadPoolExecutor | None = None
 
 # Data shapes on which the machines' passes run concurrently: at least
 # CONCURRENT_MIN_ENTRIES matrix entries (N * p) and CONCURRENT_MIN_COLUMNS
-# columns. Below the first, handing a block to a thread costs more than the
-# block's pass (N=5000, p=25: a CESDAR fit on 2 machines took 1.5x as long).
+# columns. Below the first, handing a pass to a thread costs more than the
+# pass (N=5000, p=25: a CESDAR fit on 2 machines took 1.5x as long).
 # Below the second the concurrent raw dual lost at every shape measured,
 # 20000x100, 20000x250, 8000x500 and 16000x500 on 4-8 machines, by 1.1x to
 # 1.8x, while shapes of 1000 to 4000 columns on 4 machines, 2000x4000 among
@@ -270,7 +272,7 @@ if hasattr(os, "register_at_fork"):  # no fork, so nothing to forget, on Windows
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pass_blocks() -> int:
+def _pass_threads() -> int:
     """How many machines' passes can really run at once in this process.
 
     One per core it may run on, but one in all when BLAS is threaded or its
@@ -293,26 +295,38 @@ def _run_block(calls) -> list:
 def _run_concurrently(calls) -> list:
     """Results of the zero-argument ``calls``, in order.
 
-    The calls are split into at most ``_pass_blocks()`` contiguous blocks;
-    the first runs on the calling thread, the others on the pool. Every
-    block has finished when this returns, also when one of them raised.
+    The calling thread and up to ``_pass_threads() - 1`` pool threads take
+    the calls one at a time until none is left. A pool thread that starts
+    late, say on a core another tenant holds, so holds up only the call it
+    took, never calls queued behind it. Every call taken has finished when
+    this returns, also when one of them raised.
     """
     global _pool
-    most = _pass_blocks()
-    blocks = min(most, len(calls))
-    if blocks < 2:
+    most = _pass_threads()
+    helpers = min(most, len(calls)) - 1
+    if helpers < 1:
         return _run_block(calls)
-    bounds = [len(calls) * b // blocks for b in range(blocks + 1)]
     if _pool is None:
         _pool = ThreadPoolExecutor(max_workers=most - 1, thread_name_prefix="cesdar-pass")
-    futures = [_pool.submit(_run_block, calls[start:stop])
-               for start, stop in zip(bounds[1:-1], bounds[2:])]
+    results = [None] * len(calls)
+    pending = deque(enumerate(calls))
+
+    def take() -> None:
+        while True:
+            try:
+                index, call = pending.popleft()
+            except IndexError:
+                return
+            results[index] = call()
+
+    futures = [_pool.submit(take) for _ in range(helpers)]
     try:
-        results = _run_block(calls[:bounds[1]])
+        take()
     finally:
+        pending.clear()  # after a raise, start no further call
         wait(futures)
     for future in futures:
-        results += future.result()
+        future.result()
     return results
 
 

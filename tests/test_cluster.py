@@ -6,8 +6,9 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -596,7 +597,7 @@ def test_worker_message_equality_compares_content():
 @given(n=st.integers(12, 300), p=st.integers(1, 50), machines=st.integers(2, 6),
        cores=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_concurrent_passes_match_serial(n, p, machines, cores, seed):
-    # The machines' p-length passes run in one block per core, here on any
+    # The machines' p-length passes run on one thread per core, here on any
     # data shape; each share, the weighted sum and the message order must be
     # those of a serial run.
     assume(n >= machines)
@@ -649,15 +650,33 @@ def test_only_large_wide_data_runs_passes_concurrently(monkeypatch):
 def test_passes_run_at_once_only_where_cores_are_free(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(cluster_module, "blas_threads", lambda: 1)
-    assert cluster_module._pass_blocks() == 3
+    assert cluster_module._pass_threads() == 3
     # A multiprocessing child, like a run_cell job, shares the cores with its
     # siblings; forked, it keeps the patches above.
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert pool.submit(cluster_module._pass_blocks).result(timeout=60) == 1
+        assert pool.submit(cluster_module._pass_threads).result(timeout=60) == 1
     # Threaded BLAS already spreads each pass over the cores.
     for threads in (2, None):
         monkeypatch.setattr(cluster_module, "blas_threads", lambda: threads)
-        assert cluster_module._pass_blocks() == 1
+        assert cluster_module._pass_threads() == 1
+
+
+def test_a_late_pool_thread_holds_up_no_pass(monkeypatch):
+    # The calling thread takes every call no pool thread has started: here
+    # all of them, while the pool's one thread is busy until the last call.
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(cluster_module, "_pool", pool)
+    monkeypatch.setattr(cluster_module, "_pass_threads", lambda: 2)
+    release = threading.Event()
+    busy = pool.submit(release.wait, 10)
+    caller = threading.get_ident()
+    calls = [threading.get_ident] * 3 + [lambda: release.set() or threading.get_ident()]
+    try:
+        assert cluster_module._run_concurrently(calls) == [caller] * 4
+        assert busy.result() is True
+    finally:
+        release.set()
+        pool.shutdown()
 
 
 def run_child(script: str, **env) -> str:
