@@ -35,15 +35,6 @@ Per outer iteration on active set A:
   and zeroes the active coordinates. The low-communication variant skips
   both messages and uses master-shard curvature and duals instead.
 
-The machines' p-length passes (curvature, raw dual) run concurrently on
-data of at least ``CONCURRENT_MIN_ENTRIES`` entries (N * p) and
-``CONCURRENT_MIN_COLUMNS`` columns, on one thread per core that is free
-for them (see ``_pass_threads``), each taking the next machine's pass
-until none is left, after every request has gone out and before any
-reply is collected. Transfers keep worker
-order and each pass is the same call as in a serial run, so results are
-bitwise those of running the machines one after another.
-
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate, so no fit needs to reset the
 workers' coefficients first. With M=1 there are no messages at all and
@@ -54,20 +45,15 @@ it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 """
 from __future__ import annotations
 
-import multiprocessing
-import os
 import struct
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .config import SolverConfig
 from .data import Dataset, _ByteReader
 from .exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
-from .linalg import blas_threads, gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
+from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
 from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
                    residual_correlation)
 
@@ -246,90 +232,6 @@ def partition(data: Dataset, machines: int):
     return Partition(machines, assignments), shards
 
 
-# Process-wide threads for the machines' concurrent passes, made on first use.
-_pool: ThreadPoolExecutor | None = None
-
-# Data shapes on which the machines' passes run concurrently: at least
-# CONCURRENT_MIN_ENTRIES matrix entries (N * p) and CONCURRENT_MIN_COLUMNS
-# columns. Below the first, handing a pass to a thread costs more than the
-# pass (N=5000, p=25: a CESDAR fit on 2 machines took 1.5x as long).
-# Below the second the concurrent raw dual lost at every shape measured,
-# 20000x100, 20000x250, 8000x500 and 16000x500 on 4-8 machines, by 1.1x to
-# 1.8x, while shapes of 1000 to 4000 columns on 4 machines, 2000x4000 among
-# them, gained (to 0.6x of the serial time) or tied when the host was busy
-# (2-core host, single-threaded BLAS).
-CONCURRENT_MIN_ENTRIES = 1 << 22
-CONCURRENT_MIN_COLUMNS = 1000
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, so it makes its own pool."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # no fork, so nothing to forget, on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pass_threads() -> int:
-    """How many machines' passes can really run at once in this process.
-
-    One per core it may run on, but one in all when BLAS is threaded or its
-    thread count unknown (each pass already spreads over the cores: with two
-    BLAS threads on 2 cores concurrent passes took 1.03-1.21x the serial
-    time), and in a multiprocessing child such as a ``run_cell`` job, whose
-    siblings share the cores.
-    """
-    if multiprocessing.parent_process() is not None or blas_threads() != 1:
-        return 1
-    # The cores this process may run on; macOS and Windows report no affinity.
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _run_block(calls) -> list:
-    return [call() for call in calls]
-
-
-def _run_concurrently(calls) -> list:
-    """Results of the zero-argument ``calls``, in order.
-
-    The calling thread and up to ``_pass_threads() - 1`` pool threads take
-    the calls one at a time until none is left. A pool thread that starts
-    late, say on a core another tenant holds, so holds up only the call it
-    took, never calls queued behind it. Every call taken has finished when
-    this returns, also when one of them raised.
-    """
-    global _pool
-    most = _pass_threads()
-    helpers = min(most, len(calls)) - 1
-    if helpers < 1:
-        return _run_block(calls)
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=most - 1, thread_name_prefix="cesdar-pass")
-    results = [None] * len(calls)
-    pending = deque(enumerate(calls))
-
-    def take() -> None:
-        while True:
-            try:
-                index, call = pending.popleft()
-            except IndexError:
-                return
-            results[index] = call()
-
-    futures = [_pool.submit(take) for _ in range(helpers)]
-    try:
-        take()
-    finally:
-        pending.clear()  # after a raise, start no further call
-        wait(futures)
-    for future in futures:
-        future.result()
-    return results
-
-
 class _RemoteWorker:
     """One simulated worker: owns a shard, reacts to inbound messages.
 
@@ -338,8 +240,6 @@ class _RemoteWorker:
     the master collects it, and the shard's normal equations on the last
     anchored active set: aggregates of its own rows that never leave the
     machine and answer each anchor on that set with one |A|x|A| product.
-    A p-length reply is not computed on receipt but by ``work``, which the
-    master's cluster runs on all machines at once.
     """
 
     def __init__(self, worker_id: int, shard: Dataset):
@@ -351,7 +251,6 @@ class _RemoteWorker:
         self._normal_key = self._normal = None
 
     def handle(self, message: WorkerMessage) -> None:
-        self._reply = None
         if message.kind == "BroadcastAnchor":
             key = message.indices.tobytes()  # the index content, not just |A|
             if key != self._normal_key:
@@ -361,21 +260,17 @@ class _RemoteWorker:
             self._reply = WorkerMessage("ReportGradient", np.empty(0, np.int64), grad)
         elif message.kind in ("BroadcastActiveSet", "BroadcastFinal"):
             self._beta = SparseCoefficients(self.shard.p, message.indices, message.reals)
+            if message.kind == "BroadcastActiveSet":
+                raw = residual_correlation(self.shard, self._beta)
+                self._reply = WorkerMessage("ReportDual", np.empty(0, np.int64), raw)
         else:
             raise ValueError(f"worker received unexpected kind {message.kind!r}")
 
-    def work(self, kind: str) -> None:
-        """Compute and hold a p-length reply: ReportDual, the raw dual at the
-        coefficients of the last BroadcastActiveSet, or ReportCurvature,
-        which answers no request."""
-        if kind == "ReportDual":
-            reals = residual_correlation(self.shard, self._beta)
-        else:
-            reals = self.shard.column_curvature()
-        self._reply = WorkerMessage(kind, np.empty(0, np.int64), reals)
-
     def reply(self, kind: str) -> WorkerMessage:
-        """The pending reply, which must be of ``kind``."""
+        """The pending reply, which must be of ``kind``; ReportCurvature
+        answers no request and is computed when the master collects it."""
+        if kind == "ReportCurvature":
+            return WorkerMessage(kind, np.empty(0, np.int64), self.shard.column_curvature())
         message, self._reply = self._reply, None
         if message is None or message.kind != kind:
             raise ValueError(f"worker {self.worker_id} holds no {kind} reply")
@@ -384,9 +279,6 @@ class _RemoteWorker:
 
 class SimulatedCluster:
     """Master-side driver around the remote workers; fits may share it (see Setup).
-
-    ``curvature`` and ``raw_dual`` compute the master's share and every live
-    worker's report concurrently (see the module notes), with the same bits.
 
     ``fail_worker`` names a remote worker (1..M-1) that is down, so any
     exchange with it raises ``WorkerUnavailableError``. With
@@ -455,20 +347,9 @@ class SimulatedCluster:
     def collect_duals(self) -> list[np.ndarray]:
         return [self._transfer(w, "ReportDual", 0).reals for w in self.workers]
 
-    def _work(self, kind: str, master_pass) -> np.ndarray:
-        """Every machine's p-length pass, at once on data of at least
-        ``CONCURRENT_MIN_ENTRIES`` entries and ``CONCURRENT_MIN_COLUMNS``
-        columns: ``master_pass`` on the master, ``kind`` on each live worker.
-        Returns the master's share."""
-        calls = [master_pass, *(partial(w.work, kind) for w in self.workers if not w.failed)]
-        if self.p < CONCURRENT_MIN_COLUMNS or self.data.n * self.p < CONCURRENT_MIN_ENTRIES:
-            return _run_block(calls)[0]
-        return _run_concurrently(calls)[0]
-
     def collect_curvature(self) -> np.ndarray:
         """Sample-weighted combination of all machine curvatures."""
-        master = self._work("ReportCurvature", self.master_shard.column_curvature)
-        return self.combine(master,
+        return self.combine(self.master_shard.column_curvature(),
                             [self._transfer(w, "ReportCurvature", 0).reals for w in self.workers])
 
     def curvature(self) -> np.ndarray:
@@ -481,9 +362,9 @@ class SimulatedCluster:
         """Sample-weighted X'(y - X beta)/N; the zero point's is exchanged once."""
         if beta.support.size == 0 and self._zero_dual is not None:
             return self._zero_dual
-        # Ship the iterate, then every machine computes its raw dual there.
+        master = residual_correlation(self.master_shard, beta)
+        # Ship the iterate, then every worker reports its raw dual there.
         self.broadcast("BroadcastActiveSet", beta.support, beta.values)
-        master = self._work("ReportDual", partial(residual_correlation, self.master_shard, beta))
         combined = self.combine(master, self.collect_duals())
         if beta.support.size == 0:
             combined.flags.writeable = False

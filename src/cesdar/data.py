@@ -53,7 +53,8 @@ class Dataset:
     Rejects non-finite entries and zero-norm columns at construction so the
     solvers never have to re-validate, and (shards too) scaling metadata the
     cache cannot store. ``column_curvature`` (the per-column squared norms
-    over n) is cached; it does not depend on any iterate.
+    over n) is cached; it does not depend on any iterate. So are the columns
+    ``columns`` has gathered; X is never mutated after construction.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -78,6 +79,8 @@ class Dataset:
         if (y_mean is None) != (y_scale is None):
             raise ValueError("y_mean and y_scale must be given together")
         self._curvature = None
+        self._column_slot = self._column_rows = None  # see columns
+        self._column_count = 0
         if _validate:
             self._validate()
 
@@ -107,6 +110,43 @@ class Dataset:
         if self._curvature is None:
             self._curvature = np.einsum("ij,ij->j", self.x, self.x) / self.n
         return self._curvature
+
+    def columns(self, cols) -> np.ndarray:
+        """``x[:, cols]`` for integer indices ``cols``: the same values in the
+        same memory layout, so every product with it has the same bits.
+
+        In a row-major X one column is n reads one row apart. The solvers
+        gather the few columns of an active set that changes little from
+        one iteration to the next, so each column gathered is kept as a
+        contiguous row of a cache and later gathers read only those rows.
+        The cache holds at most an eighth of X's columns; past that, columns
+        not yet held are read from X.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.size == 0:
+            return self.x[:, cols]
+        if self._column_slot is None:
+            self._column_slot = np.full(self.p, -1, dtype=np.int64)
+        slots = self._column_slot[cols]
+        if (slots < 0).any():
+            new = np.unique(cols[slots < 0])
+            count, limit = self._column_count, max(1, self.p // 8)
+            need = count + new.size
+            if need > limit:
+                return self.x[:, cols]
+            rows = self._column_rows
+            if rows is None or rows.shape[0] < need:
+                grown = np.empty((min(limit, max(16, 2 * need)), self.n))
+                if count:
+                    grown[:count] = rows[:count]
+                self._column_rows = rows = grown
+            rows[count:need] = self.x[:, new].T
+            self._column_slot[new] = np.arange(count, need)
+            self._column_count = need
+            slots = self._column_slot[cols]
+        # Rows taken from a C-ordered array and transposed: the F-ordered
+        # n x |cols| layout of x[:, cols].
+        return self._column_rows[slots].T
 
     def correlate_residual(self, residual: np.ndarray) -> np.ndarray:
         """X' r / n for a length-n residual vector."""

@@ -6,15 +6,12 @@ build), which the M=1 reduction tests rely on.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import SingularSystemError
 
-__all__ = ["blas_threads", "gram_submatrix", "spd_solve"]
+__all__ = ["gram_submatrix", "spd_solve"]
 
 # Guard against runaway active sets; |A| stays in the tens in normal use.
 MAX_SPD_DIM = 10_000
@@ -28,16 +25,20 @@ def _check_finite(a, name):
 def gram_submatrix(x: np.ndarray, cols, scale: float) -> np.ndarray:
     """X_A' X_A / scale for the column subset ``cols``, exactly symmetric.
 
-    Symmetry is enforced by computing the product once and mirroring the
-    upper triangle, so the result is bitwise symmetric.
+    ``cols=None`` takes every column of ``x``, for a caller that has gathered
+    X_A already. Symmetry is enforced by computing the product once and
+    mirroring the upper triangle, so the result is bitwise symmetric.
     """
     x = np.asarray(x, dtype=float)
-    cols = np.asarray(cols, dtype=np.int64)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
-        raise IndexError(f"column index out of range for p={x.shape[1]}")
-    sub = x[:, cols]
+    if cols is None:
+        sub = x
+    else:
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
+            raise IndexError(f"column index out of range for p={x.shape[1]}")
+        sub = x[:, cols]
     g = sub.T @ sub / scale
     upper = np.triu(g)
     return upper + np.triu(g, 1).T
@@ -89,37 +90,3 @@ def spd_solve(a: np.ndarray, b: np.ndarray, active_set=None):
             active_set=active_set,
         ) from None
 
-
-@functools.cache
-def _openblas_thread_queries() -> tuple:
-    """The thread-count query of every loaded OpenBLAS (numpy and scipy each
-    bundle one); none where the process maps cannot be read (not Linux)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            # The path is the sixth field and may hold spaces.
-            mappings = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    libs = sorted({fields[5].strip() for fields in mappings
-                   if len(fields) == 6 and "openblas" in fields[5].lower()})
-    queries = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:  # replaced on disk since it was loaded ("... (deleted)")
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            query = getattr(handle, symbol, None)
-            if query is not None:
-                query.restype = ctypes.c_int
-                queries.append(query)
-                break
-    return tuple(queries)
-
-
-def blas_threads() -> int | None:
-    """Most threads a loaded OpenBLAS runs one call on, or None if no BLAS
-    answers (another BLAS, or no process maps)."""
-    counts = [query() for query in _openblas_thread_queries()]
-    return max(counts) if counts else None

@@ -95,8 +95,9 @@ def detect_active(beta: SparseCoefficients, d: np.ndarray, g: np.ndarray,
 
 def normal_equations(data: Dataset, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X_A'X_A/n, X_A'y/n): the least-squares system of ``data`` on ``active``."""
-    gram = gram_submatrix(data.x, active, float(data.n))
-    rhs = data.x[:, active].T @ data.y / data.n
+    sub = data.columns(active)
+    gram = gram_submatrix(sub, None, float(data.n))
+    rhs = sub.T @ data.y / data.n
     return gram, rhs
 
 
@@ -117,7 +118,7 @@ def root_find_local(data: Dataset, active) -> tuple[SparseCoefficients, bool]:
 def residual_correlation(data: Dataset, beta: SparseCoefficients) -> np.ndarray:
     """X'(y - X beta)/n, the raw (curvature-free) dual direction."""
     if beta.support.size:
-        residual = data.y - data.x[:, beta.support] @ beta.values
+        residual = data.y - data.columns(beta.support) @ beta.values
     else:
         residual = data.y
     return data.correlate_residual(residual)

@@ -29,7 +29,7 @@ WARM_START_SLACK = 1e-8
 
 
 def _half_mse_loss(data: Dataset, beta: SparseCoefficients) -> float:
-    residual = data.y - data.x[:, beta.support] @ beta.values
+    residual = data.y - data.columns(beta.support) @ beta.values
     return 0.5 * float(residual @ residual) / data.n
 
 

@@ -1,15 +1,5 @@
-import contextlib
-import multiprocessing
-import os
-import signal
 import struct
-import subprocess
-import sys
-import textwrap
-import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,145 +581,35 @@ def test_worker_message_equality_compares_content():
     assert [anchor, anchor] == [anchor, WorkerMessage("BroadcastAnchor", [1, 4], [0.5, -2.0])]
 
 
-# --- concurrent passes ---------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(12, 300), p=st.integers(1, 50), machines=st.integers(2, 6),
-       cores=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_concurrent_passes_match_serial(n, p, machines, cores, seed):
-    # The machines' p-length passes run on one thread per core, here on any
-    # data shape; each share, the weighted sum and the message order must be
-    # those of a serial run.
+       seed=st.integers(0, 2**32 - 1))
+def test_cluster_passes_are_the_shards_passes_in_worker_order(n, p, machines, seed):
+    # Each share, the weighted sum and the message order are those of the
+    # machines' passes run one after another on fresh shards, also once the
+    # shards have gathered (and kept) the columns of an earlier iterate.
     assume(n >= machines)
     data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
     _, shards = partition(data, machines)
     rng = np.random.default_rng(seed)
-    support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)), replace=False))
-    beta = SparseCoefficients(p, support, rng.standard_normal(support.size))
     cluster = SimulatedCluster(data, machines, log_messages=True)
-    interval = sys.getswitchinterval()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cluster_module, "CONCURRENT_MIN_ENTRIES", 0)
-        patch.setattr(cluster_module, "CONCURRENT_MIN_COLUMNS", 0)
-        patch.setattr(cluster_module, "blas_threads", lambda: 1)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            curvature = cluster.curvature()
-            dual = cluster.raw_dual(beta)
-        finally:
-            sys.setswitchinterval(interval)
+    curvature = cluster.curvature()
     serial = [shard.column_curvature() for shard in shards]
     assert np.array_equal(curvature, cluster.combine(serial[0], serial[1:]))
-    serial = [residual_correlation(shard, beta) for shard in shards]
-    assert np.array_equal(dual, cluster.combine(serial[0], serial[1:]))
+    expected = [WorkerMessage("ReportCurvature", [], share) for share in serial[1:]]
+    for _ in range(2):
+        support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)), replace=False))
+        beta = SparseCoefficients(p, support, rng.standard_normal(support.size))
+        dual = cluster.raw_dual(beta)
+        _, shards = partition(data, machines)
+        serial = [residual_correlation(shard, beta) for shard in shards]
+        assert np.array_equal(dual, cluster.combine(serial[0], serial[1:]))
+        expected += ([WorkerMessage("BroadcastActiveSet", support, beta.values)] * (machines - 1)
+                     + [WorkerMessage("ReportDual", [], share) for share in serial[1:]])
     workers = range(1, machines)
     assert [(e.kind, e.direction, e.worker) for e in cluster.ledger.entries] == (
         [("ReportCurvature", WORKER_TO_MASTER, w) for w in workers]
-        + [("BroadcastActiveSet", MASTER_TO_WORKER, w) for w in workers]
-        + [("ReportDual", WORKER_TO_MASTER, w) for w in workers])
-    sent = WorkerMessage("BroadcastActiveSet", support, beta.values)
-    assert cluster.messages == (
-        [WorkerMessage("ReportCurvature", [], shard.column_curvature()) for shard in shards[1:]]
-        + [sent] * (machines - 1)
-        + [WorkerMessage("ReportDual", [], share) for share in serial[1:]])
-
-
-def test_only_large_wide_data_runs_passes_concurrently(monkeypatch):
-    columns = cluster_module.CONCURRENT_MIN_COLUMNS
-    monkeypatch.setattr(cluster_module, "CONCURRENT_MIN_ENTRIES", 16 * columns)
-    ran = []
-    monkeypatch.setattr(cluster_module, "_run_concurrently",
-                        lambda calls: ran.append(len(calls)) or [call() for call in calls])
-    for n, p in ((17, columns - 1), (15, columns), (16, columns)):
-        data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=0))
-        SimulatedCluster(data, 4).curvature()
-    assert ran == [4]
-
-
-def test_passes_run_at_once_only_where_cores_are_free(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(cluster_module, "blas_threads", lambda: 1)
-    assert cluster_module._pass_threads() == 3
-    # A multiprocessing child, like a run_cell job, shares the cores with its
-    # siblings; forked, it keeps the patches above.
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert pool.submit(cluster_module._pass_threads).result(timeout=60) == 1
-    # Threaded BLAS already spreads each pass over the cores.
-    for threads in (2, None):
-        monkeypatch.setattr(cluster_module, "blas_threads", lambda: threads)
-        assert cluster_module._pass_threads() == 1
-
-
-def test_a_late_pool_thread_holds_up_no_pass(monkeypatch):
-    # The calling thread takes every call no pool thread has started: here
-    # all of them, while the pool's one thread is busy until the last call.
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(cluster_module, "_pool", pool)
-    monkeypatch.setattr(cluster_module, "_pass_threads", lambda: 2)
-    release = threading.Event()
-    busy = pool.submit(release.wait, 10)
-    caller = threading.get_ident()
-    calls = [threading.get_ident] * 3 + [lambda: release.set() or threading.get_ident()]
-    try:
-        assert cluster_module._run_concurrently(calls) == [caller] * 4
-        assert busy.result() is True
-    finally:
-        release.set()
-        pool.shutdown()
-
-
-def run_child(script: str, **env) -> str:
-    """Standard output of ``script`` in a child interpreter that imports this
-    checkout's package; it and every process it forks end at a 120 s timeout."""
-    src = Path(cluster_module.__file__).resolve().parents[1]
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    child = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                             stdout=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        out, _ = child.communicate(timeout=120)
-        assert child.returncode == 0
-        return out
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(child.pid, signal.SIGKILL)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_blas_threads_reads_the_loaded_openblas(threads):
-    out = run_child("from cesdar.linalg import blas_threads; print(blas_threads())",
-                    OPENBLAS_NUM_THREADS=str(threads))
-    if out.strip() == "None":
-        pytest.skip("no OpenBLAS answers a thread-count query here")
-    assert int(out) == threads
-
-
-def test_forked_processes_run_after_a_concurrent_fit():
-    # A fit on several machines leaves the pass pool running. A parallel cell
-    # then forks jobs, which run their passes serially, and a bare fork runs
-    # them concurrently on a pool of its own; a deadlock fails on the timeout.
-    run_child("""
-        import os
-        os.sched_getaffinity = lambda pid: {0, 1}
-        import cesdar.cluster as cluster
-        cluster.CONCURRENT_MIN_ENTRIES = cluster.CONCURRENT_MIN_COLUMNS = 0
-        from cesdar.config import ExperimentConfig, SolverConfig
-        from cesdar.data import SyntheticSpec, generate
-        from cesdar.metrics import run_cell
-
-        data, _ = generate(SyntheticSpec(n=400, p=30, s=3, seed=1))
-        fit = cluster.cesdar_fit(data, 4, SolverConfig(sparsity=3))
-        assert cluster._pool is not None
-        config = ExperimentConfig(algorithm="cesdar", n=300, p=30, s=3, sparsity=3,
-                                  machines=2, replicates=3, base_seed=50, n_test=200)
-        serial, ts = run_cell(config, jobs=1)
-        parallel, tp = run_cell(config, jobs=2)
-        assert all(a.beta_hat == b.beta_hat for a, b in zip(ts, tp))
-        assert serial.aee_mean == parallel.aee_mean
-        pid = os.fork()
-        if pid == 0:
-            again = cluster.cesdar_fit(data, 4, SolverConfig(sparsity=3))
-            os._exit(0 if cluster._pool is not None and again.beta == fit.beta else 1)
-        assert os.waitpid(pid, 0)[1] == 0
-    """, OPENBLAS_NUM_THREADS="1")
+        + 2 * ([("BroadcastActiveSet", MASTER_TO_WORKER, w) for w in workers]
+               + [("ReportDual", WORKER_TO_MASTER, w) for w in workers]))
+    assert cluster.messages == expected

@@ -62,6 +62,28 @@ def test_generate_column_moment_bands():
     assert np.abs(variances - 1.0).max() <= 4.0 * math.sqrt(2.0 / n)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), p=st.integers(1, 40), skip=st.integers(0, 5),
+       order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.lists(st.integers(0, 39), max_size=12), min_size=1, max_size=8))
+def test_cached_columns_are_the_gathered_columns(n, p, skip, order, seed, picks):
+    # A shard view of a C- or F-ordered X; every gather, cached, added to the
+    # cache or past its limit, has the values, shape and strides of
+    # x[:, cols], so BLAS products with it have the same bits.
+    rng = np.random.default_rng(seed)
+    x = np.asarray(rng.standard_normal((skip + n, p)), order=order)
+    data = Dataset(x, rng.standard_normal(skip + n)).row_slice(skip, skip + n)
+    for pick in picks:
+        cols = np.array([c % p for c in pick], dtype=np.int64)
+        got, want = data.columns(cols), data.x[:, cols]
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        v = rng.standard_normal(cols.size)
+        assert np.array_equal(got @ v, want @ v)
+        assert np.array_equal(got.T @ got, want.T @ want)
+        assert data._column_count <= max(1, p // 8)
+
+
 def test_generate_test_shares_truth():
     spec = SyntheticSpec(n=100, p=15, s=3, noise_sd=0.0, seed=2)
     data, truth = generate(spec)

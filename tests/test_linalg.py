@@ -1,10 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
 from cesdar.exceptions import SingularSystemError
-import cesdar.linalg as linalg
 from cesdar.linalg import gram_submatrix, spd_solve
 
 
@@ -31,6 +28,14 @@ def test_gram_bitwise_symmetric():
     x = rng.standard_normal((25, 9))
     out = gram_submatrix(x, range(9), 25.0)
     assert np.array_equal(out, out.T)
+
+
+def test_gram_of_gathered_columns_is_the_gram_of_the_subset():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((25, 9))
+    cols = [7, 1, 4]
+    assert np.array_equal(gram_submatrix(x[:, cols], None, 25.0),
+                          gram_submatrix(x, cols, 25.0))
 
 
 def test_gram_index_out_of_range():
@@ -77,16 +82,3 @@ def test_spd_solve_matvec_round_trip():
         x = rng.standard_normal(dim)
         recovered, _ = spd_solve(a, a @ x)
         assert np.linalg.norm(recovered - x) <= 1e-6 * (1.0 + np.linalg.norm(x))
-
-
-def test_blas_query_skips_paths_it_cannot_load(monkeypatch):
-    queries = linalg._openblas_thread_queries()
-    if not queries:
-        pytest.skip("no OpenBLAS answers a thread-count query here")
-    with open("/proc/self/maps") as maps:
-        mapped = [line for line in maps if "openblas" in line.lower()]
-    # A library replaced on disk since it was loaded, under a path with a space.
-    mapped.append("7f0000000000-7f0000001000 r-xp 00000000 08:01 42   /opt/old blas/libopenblas.so (deleted)\n")
-    monkeypatch.setattr(linalg, "open", lambda path: io.StringIO("".join(mapped)), raising=False)
-    assert len(linalg._openblas_thread_queries.__wrapped__()) == len(queries)
-

@@ -11,9 +11,11 @@ from cesdar.sdar import (
     detect_active,
     esdar_fit,
     kkt_residual,
+    normal_equations,
     residual_correlation,
     root_find_local,
 )
+from cesdar.linalg import gram_submatrix
 
 
 def orthogonal_design(n, p, seed=0):
@@ -70,6 +72,25 @@ def test_detect_active_matches_stable_argsort(data, levels, p):
     indices, threshold = argsort_top(keys, sparsity)
     assert np.array_equal(sel.indices, indices) and sel.indices.dtype == np.int64
     assert sel.threshold.hex() == threshold.hex()
+
+
+def test_cached_columns_leave_every_product_bitwise_unchanged():
+    # Active sets that share columns, as an outer loop's do, so later sets
+    # read cached columns; each product equals the one on x[:, A].
+    data, _ = generate(SyntheticSpec(n=300, p=200, s=5, seed=4))
+    rng = np.random.default_rng(4)
+    active = np.sort(rng.choice(data.p, 8, replace=False))
+    for _ in range(6):
+        values = rng.standard_normal(active.size)
+        dual = data.x.T @ (data.y - data.x[:, active] @ values) / data.n
+        assert np.array_equal(residual_correlation(data, SparseCoefficients(data.p, active, values)),
+                              dual)
+        gram, rhs = normal_equations(data, active)
+        assert np.array_equal(gram, gram_submatrix(data.x, active, float(data.n)))
+        assert np.array_equal(rhs, data.x[:, active].T @ data.y / data.n)
+        swap = rng.choice(active.size, 2, replace=False)
+        active[swap] = rng.choice(np.setdiff1d(np.arange(data.p), active), 2, replace=False)
+        active = np.sort(active)
 
 
 def test_detect_active_rescale_invariance():
