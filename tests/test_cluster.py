@@ -581,14 +581,14 @@ def test_worker_message_equality_compares_content():
     assert [anchor, anchor] == [anchor, WorkerMessage("BroadcastAnchor", [1, 4], [0.5, -2.0])]
 
 
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(12, 300), p=st.integers(1, 50), machines=st.integers(2, 6),
        seed=st.integers(0, 2**32 - 1))
 def test_cluster_passes_are_the_shards_passes_in_worker_order(n, p, machines, seed):
     # Each share, the weighted sum and the message order are those of the
     # machines' passes run one after another on fresh shards, also once the
-    # shards have gathered (and kept) the columns of an earlier iterate.
+    # shards have gathered (and kept) the columns of an earlier iterate. The
+    # second iterate is never zero, whose dual the cluster exchanges once.
     assume(n >= machines)
     data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
     _, shards = partition(data, machines)
@@ -598,8 +598,8 @@ def test_cluster_passes_are_the_shards_passes_in_worker_order(n, p, machines, se
     serial = [shard.column_curvature() for shard in shards]
     assert np.array_equal(curvature, cluster.combine(serial[0], serial[1:]))
     expected = [WorkerMessage("ReportCurvature", [], share) for share in serial[1:]]
-    for _ in range(2):
-        support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)), replace=False))
+    for smallest in (0, 1):
+        support = np.sort(rng.choice(p, int(rng.integers(smallest, p + 1)), replace=False))
         beta = SparseCoefficients(p, support, rng.standard_normal(support.size))
         dual = cluster.raw_dual(beta)
         _, shards = partition(data, machines)
