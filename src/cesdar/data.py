@@ -37,6 +37,15 @@ __all__ = [
 
 _STREAMS = {"data": 0, "test": 1, "split": 2, "noise": 3}
 
+# Narrowest X (columns, 4 KB of float64 per row) whose gathered columns
+# Dataset.columns caches. A gather of |A| columns from a row of 64 or more
+# cache lines reads a few scattered lines of each row, and the cache pays:
+# on acesdar_path (2000x4000) task_s_p50 fell by about a quarter. From
+# narrower rows a gather reads a larger share of each row's lines; on
+# tall_fit (20000x100, 13 lines a row) the cache gained nothing, and its
+# benchmark runs spread twice as widely as without it.
+COLUMN_CACHE_MIN_COLUMNS = 512
+
 CACHE_MAGIC = b"CSDR1"
 
 
@@ -120,10 +129,11 @@ class Dataset:
         one iteration to the next, so each column gathered is kept as a
         contiguous row of a cache and later gathers read only those rows.
         The cache holds at most an eighth of X's columns; past that, columns
-        not yet held are read from X.
+        not yet held are read from X, as are all columns of an X narrower
+        than ``COLUMN_CACHE_MIN_COLUMNS``.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        if cols.size == 0:
+        if cols.size == 0 or self.p < COLUMN_CACHE_MIN_COLUMNS:
             return self.x[:, cols]
         if self._column_slot is None:
             self._column_slot = np.full(self.p, -1, dtype=np.int64)

@@ -582,8 +582,8 @@ def test_worker_message_equality_compares_content():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(12, 300), p=st.integers(1, 50), machines=st.integers(2, 6),
-       seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(12, 300), p=st.one_of(st.integers(1, 50), st.integers(512, 530)),
+       machines=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_cluster_passes_are_the_shards_passes_in_worker_order(n, p, machines, seed):
     # Each share, the weighted sum and the message order are those of the
     # machines' passes run one after another on fresh shards, also once the

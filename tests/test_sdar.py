@@ -77,7 +77,7 @@ def test_detect_active_matches_stable_argsort(data, levels, p):
 def test_cached_columns_leave_every_product_bitwise_unchanged():
     # Active sets that share columns, as an outer loop's do, so later sets
     # read cached columns; each product equals the one on x[:, A].
-    data, _ = generate(SyntheticSpec(n=300, p=200, s=5, seed=4))
+    data, _ = generate(SyntheticSpec(n=300, p=600, s=5, seed=4))
     rng = np.random.default_rng(4)
     active = np.sort(rng.choice(data.p, 8, replace=False))
     for _ in range(6):
@@ -91,6 +91,7 @@ def test_cached_columns_leave_every_product_bitwise_unchanged():
         swap = rng.choice(active.size, 2, replace=False)
         active[swap] = rng.choice(np.setdiff1d(np.arange(data.p), active), 2, replace=False)
         active = np.sort(active)
+    assert data._column_count > 0
 
 
 def test_detect_active_rescale_invariance():
