@@ -66,7 +66,9 @@ def test_generate_column_moment_bands():
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 40), p=st.one_of(st.integers(1, 40), st.integers(512, 540)),
        skip=st.integers(0, 5), order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1),
-       picks=st.lists(st.lists(st.integers(0, 539), max_size=12), min_size=1, max_size=8))
+       picks=st.lists(st.lists(st.integers(0, 539), max_size=40), min_size=1, max_size=8))
+@example(n=3, p=512, skip=0, order="C", seed=0,
+         picks=[list(range(40)), list(range(30, 70)), [69, 70, 5]])  # reaches the limit, 64
 def test_cached_columns_are_the_gathered_columns(n, p, skip, order, seed, picks):
     # A shard view of a C- or F-ordered X; every gather, cached, added to the
     # cache, past its limit or from an X too narrow to cache, has the values,
