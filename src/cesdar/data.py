@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -499,8 +500,8 @@ def save_cache(path, data: Dataset) -> None:
     with open(path, "wb") as out:
         out.write(CACHE_MAGIC)
         out.write(struct.pack("<QQ", data.n, data.p))
-        out.write(np.ascontiguousarray(data.x, dtype="<f8").tobytes())
-        out.write(np.ascontiguousarray(data.y, dtype="<f8").tobytes())
+        out.write(np.ascontiguousarray(data.x, dtype="<f8"))  # from its buffer, no bytes copy
+        out.write(np.ascontiguousarray(data.y, dtype="<f8"))
         out.write(struct.pack("<I", len(data.feature_names)))
         for name in data.feature_names:
             raw = name.encode("utf-8")
@@ -508,8 +509,8 @@ def save_cache(path, data: Dataset) -> None:
             out.write(raw)
         if data.standardized:
             out.write(b"\x01")
-            out.write(np.ascontiguousarray(data.column_means, dtype="<f8").tobytes())
-            out.write(np.ascontiguousarray(data.column_scales, dtype="<f8").tobytes())
+            out.write(np.ascontiguousarray(data.column_means, dtype="<f8"))
+            out.write(np.ascontiguousarray(data.column_scales, dtype="<f8"))
         else:
             out.write(b"\x00")
         if data.y_mean is not None:
@@ -526,42 +527,56 @@ class _ByteReader:
         self.path = path
         with open(path, "rb") as handle:
             self.blob = handle.read()
+        self.size = len(self.blob)
         self.off = 0
 
     def take(self, size: int) -> int:
         """Offset of the next ``size`` bytes; IngestError if the file ends first."""
         end = self.off + size
-        if end > len(self.blob):
+        if end > self.size:
             raise IngestError(f"{self.path}: truncated file: expected at least {end} "
-                              f"bytes, found {len(self.blob)}")
+                              f"bytes, found {self.size}")
         self.off = end
         return end - size
 
 
+class _FileReader(_ByteReader):
+    """The same checks on an open file, read into place, not held whole."""
+
+    def __init__(self, path, handle):
+        self.path, self.handle, self.off = path, handle, 0
+        self.size = os.fstat(handle.fileno()).st_size
+
+    def read(self, *shape: int, dtype="u1") -> np.ndarray:
+        """The next array of ``shape``, its size checked before it is allocated."""
+        self.take(np.dtype(dtype).itemsize * math.prod(shape))
+        out = np.empty(shape, dtype=dtype)
+        if self.handle.readinto(out) != out.nbytes:
+            raise IngestError(f"{self.path}: the file shrank while it was read")
+        return out
+
+
 def load_cache(path) -> Dataset:
     """Inverse of save_cache; the round trip is bit exact."""
-    reader = _ByteReader(path)
-    blob, take = reader.blob, reader.take
-    if blob[:5] != CACHE_MAGIC:
-        raise IngestError(f"{path}: not a dataset cache (bad magic)")
-    take(5)
-    n, p = struct.unpack_from("<QQ", blob, take(16))
-    x = np.frombuffer(blob, dtype="<f8", count=n * p, offset=take(8 * n * p)).reshape(n, p).copy()
-    y = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()
-    (count,) = struct.unpack_from("<I", blob, take(4))
-    names = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", blob, take(4))
-        start = take(length)
-        names.append(blob[start:start + length].decode("utf-8"))
-    standardized = blob[take(1)] == 1
-    means = scales = None
-    if standardized:
-        means = np.frombuffer(blob, dtype="<f8", count=p, offset=take(8 * p)).copy()
-        scales = np.frombuffer(blob, dtype="<f8", count=p, offset=take(8 * p)).copy()
-    y_mean = y_scale = None
-    if blob[take(1)] == 1:
-        y_mean, y_scale = struct.unpack_from("<dd", blob, take(16))
+    with open(path, "rb") as handle:
+        reader = _FileReader(path, handle)
+        if handle.read(5) != CACHE_MAGIC:
+            raise IngestError(f"{path}: not a dataset cache (bad magic)")
+        reader.take(5)
+        n, p = struct.unpack("<QQ", reader.read(16))
+        x, y = reader.read(n, p, dtype="<f8"), reader.read(n, dtype="<f8")
+        (count,) = struct.unpack("<I", reader.read(4))
+        names = []
+        for _ in range(count):
+            (length,) = struct.unpack("<I", reader.read(4))
+            names.append(reader.read(length).tobytes().decode("utf-8"))
+        standardized = reader.read(1)[0] == 1
+        means = scales = None
+        if standardized:
+            means, scales = reader.read(p, dtype="<f8"), reader.read(p, dtype="<f8")
+        y_mean = y_scale = None
+        if reader.read(1)[0] == 1:
+            y_mean, y_scale = struct.unpack("<dd", reader.read(16))
     return Dataset(x, y, names, standardized=standardized,
                    column_means=means, column_scales=scales,
                    y_mean=y_mean, y_scale=y_scale)

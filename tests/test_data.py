@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ def test_truncated_cache_is_ingest_error(tmp_path, section):
     path.write_bytes(blob[:size])
     with pytest.raises(IngestError, match=rf"cut\.bin: truncated file: expected at least "
                                           rf"\d+ bytes, found {size}$"):
+        load_cache(path)
+
+
+def test_cache_cut_while_read_is_ingest_error(tmp_path, monkeypatch):
+    # load_cache checks sections against the size the file had when it was
+    # opened; a file cut after that must not leave X partly uninitialised.
+    import cesdar.data
+
+    x = np.random.default_rng(2).standard_normal((6, 2))
+    path = tmp_path / "cut.bin"
+    save_cache(path, Dataset(x, x[:, 1]))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:60])  # inside X
+    monkeypatch.setattr(cesdar.data.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(IngestError, match=r"cut\.bin: the file shrank while it was read"):
         load_cache(path)
 
 

@@ -135,25 +135,24 @@ def test_warm_start_not_worse_than_cold():
         assert point.loss <= cold_loss + 1e-8
 
 
-def test_cold_fallback_branch(monkeypatch):
-    # Force the warm-started fit to be worse so the path point falls back
-    # to the cold start and flags it.
+def test_one_fit_per_path_point(monkeypatch):
+    # Each point after the first is one fit warm-started from the point
+    # before it; there is no cold refit.
     import cesdar.tuning as tuning
 
     data, _ = generate(SyntheticSpec(n=200, p=20, s=2, seed=10))
-    real_fit = tuning.cesdar_fit
+    real_fit, warms = tuning.cesdar_fit, []
 
-    def sabotaged(data_, machines, cfg, warm=None, cluster=None):
-        result = real_fit(data_, machines, cfg, cluster=cluster)
-        if warm is not None:
-            result.beta = SparseCoefficients.zeros(data_.p)  # terrible warm "fit"
-        return result
+    def counted(data_, machines, cfg, warm=None, cluster=None):
+        warms.append(warm)
+        return real_fit(data_, machines, cfg, warm=warm, cluster=cluster)
 
-    monkeypatch.setattr(tuning, "cesdar_fit", sabotaged)
-    _, path = acesdar_fit(data, TuningConfig(step=1, machines=1, j_override=3))
-    assert any(point.cold_fallback for point in path[1:])
-    for point in path[1:]:
-        assert point.support_size > 0  # the cold result was kept
+    monkeypatch.setattr(tuning, "cesdar_fit", counted)
+    _, path = acesdar_fit(data, TuningConfig(step=1, machines=2, j_override=4))
+    assert len(warms) == len(path) == 4
+    assert warms[0] is None
+    for warm, before in zip(warms[1:], path):
+        assert warm[0] is before.fit.beta and warm[1] is before.fit.d
 
 
 def test_path_csv_export(tmp_path):
@@ -176,17 +175,17 @@ def _without_setup(entries):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(40, 160), p=st.integers(6, 24), machines=st.integers(1, 4),
        step=st.sampled_from([1, 2]), j=st.integers(2, 6), seed=st.integers(0, 10_000))
-@example(n=137, p=24, machines=3, step=2, j=6, seed=6504)  # T=4 falls back to cold
+@example(n=137, p=24, machines=3, step=2, j=6, seed=6504)  # a cold fit used to win at T=4
 def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
-    # Each path point must be bitwise the fit a fresh cluster gives from the
-    # same start; its ledger drops only the set-up an earlier fit made.
+    # Each path point must be bitwise the fit a fresh cluster gives when
+    # warm-started from the point before it; its ledger drops only the
+    # set-up an earlier fit made.
     data, _ = generate(SyntheticSpec(n=n, p=p, s=3, seed=seed))
     tune = TuningConfig(step=step, machines=machines, j_override=j)
     _, path = acesdar_fit(data, tune)
     for i, point in enumerate(path):
         cfg = SolverConfig(sparsity=point.sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        warm = None if i == 0 or point.cold_fallback else (path[i - 1].fit.beta,
-                                                             path[i - 1].fit.d)
+        warm = None if i == 0 else (path[i - 1].fit.beta, path[i - 1].fit.d)
         ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
         assert fit.beta == ref.beta
         assert point.hbic == hbic(data, point.beta)  # scored from the path's loss
