@@ -79,13 +79,25 @@ def _model_payload(result, algorithm: str, machines: int) -> dict:
     }
 
 
-@click.group()
+class _Group(click.Group):
+    def main(self, *args, **kwargs):
+        """Run the command line, but print a usage error as one ``error: usage:
+        <message>`` line and exit 1: exit 2 means a fit did not converge."""
+        try:
+            return super().main(*args, **kwargs, standalone_mode=False)
+        except click.UsageError as exc:
+            _fail("usage", exc.format_message())
+        except click.Abort:
+            _fail("abort", "interrupted")
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main() -> None:
     """Communication-efficient sparse least-squares toolkit."""
 
 
 @main.command("fit")
-@click.option("--algo", type=click.Choice(["esdar", "cesdar", "ecesdar", "acesdar"]),
+@click.option("--algo", type=click.Choice(["esdar", "cesdar", "ecesdar"]),
               default="cesdar", show_default=True)
 @click.option("--data", "data_path", required=True, help="CSV file or dataset cache.")
 @click.option("--response", default=None, help="Response column (CSV input).")
@@ -96,28 +108,23 @@ def main() -> None:
 @click.option("--sparsity", default=10, show_default=True, help="Active-set size T.")
 @click.option("--tau", default=0.5, show_default=True)
 @click.option("--max-iter", default=50, show_default=True)
-@click.option("--step", default=1, show_default=True, help="Sweep step (acesdar only).")
 @click.option("--seed", default=None, type=int, help=f"Defaults to ${ENV_SEED} or 0.")
 @click.option("--out", "out_path", default="model.json", show_default=True)
 def cmd_fit(algo, data_path, response, categorical, noise_features, standardize,
-            machines, sparsity, tau, max_iter, step, seed, out_path):
-    """Fit one model and write its coefficients as JSON."""
+            machines, sparsity, tau, max_iter, seed, out_path):
+    """Fit one model at sparsity T and write its coefficients as JSON.
+    ACESDAR, which selects T itself, is the ``tune`` command."""
     seed = _default_seed() if seed is None else seed
     try:
         data = _load_dataset(data_path, response, categorical, noise_features,
                              seed, standardize)
-        if algo == "acesdar":
-            tune = TuningConfig(step=step, machines=machines, tau=tau, max_iter=max_iter)
-            best, _path = acesdar_fit(data, tune)
-            result = best.fit
+        cfg = SolverConfig(sparsity=sparsity, tau=tau, max_iter=max_iter)
+        if algo == "esdar":
+            result = esdar_fit(data, cfg)
+        elif algo == "cesdar":
+            result = cesdar_fit(data, machines, cfg)
         else:
-            cfg = SolverConfig(sparsity=sparsity, tau=tau, max_iter=max_iter)
-            if algo == "esdar":
-                result = esdar_fit(data, cfg)
-            elif algo == "cesdar":
-                result = cesdar_fit(data, machines, cfg)
-            else:
-                result = ecesdar_fit(data, machines, cfg)
+            result = ecesdar_fit(data, machines, cfg)
     except (CesdarError, OSError, ValueError) as exc:
         _fail("fit", str(exc))
     payload = _model_payload(result, algo, machines)

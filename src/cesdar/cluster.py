@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .data import Dataset, _ByteReader
+from .data import Dataset, _FileReader
 from .exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
 from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
 from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
@@ -550,28 +550,30 @@ def write_message_log(path, messages) -> None:
 
 def read_message_log(path) -> list[WorkerMessage]:
     """Inverse of write_message_log; IngestError on a truncated or corrupt
-    record, a missing or miscounting end record, or bytes after it."""
+    record, a missing or miscounting end record, or bytes after it. Each
+    record is read only once its length fits in what is left of the file."""
     tags = {tag: kind for kind, tag in _KIND_TAGS.items()}
     messages = []
-    reader = _ByteReader(path)
-    blob = reader.blob
-    while reader.off < len(blob):
-        start = reader.off
-        tag, length = struct.unpack_from("<BI", blob, reader.take(5))
-        off = reader.take(length)
-        n_idx = struct.unpack_from("<Q", blob, off)[0] if length >= 8 else 0
-        n_reals = (length - 8) // 8 - n_idx
-        if tag == 0 and length == 8:  # the end record
-            if n_idx != len(messages) or reader.off < len(blob):
-                raise IngestError(f"{path}: end record at byte {start} counts {n_idx} messages "
-                                  f"of {len(messages)}, then {len(blob) - reader.off} bytes follow")
-            return messages
-        problem = _record_problem(tags.get(tag), tag, length, n_idx, n_reals)
-        if problem:
-            raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
-        indices = np.frombuffer(blob, dtype="<u8", count=n_idx, offset=off + 8)
-        reals = np.frombuffer(blob, dtype="<f8", count=n_reals, offset=off + 8 + 8 * n_idx)
-        messages.append(WorkerMessage(tags[tag], indices.astype(np.int64), reals.copy()))
+    with open(path, "rb") as handle:
+        reader = _FileReader(path, handle)
+        while reader.off < reader.size:
+            start = reader.off
+            tag, length = struct.unpack("<BI", reader.read(5))
+            payload = reader.read(length)
+            n_idx = struct.unpack_from("<Q", payload)[0] if length >= 8 else 0
+            n_reals = (length - 8) // 8 - n_idx
+            if tag == 0 and length == 8:  # the end record
+                if n_idx != len(messages) or reader.off < reader.size:
+                    raise IngestError(f"{path}: end record at byte {start} counts {n_idx} "
+                                      f"messages of {len(messages)}, then "
+                                      f"{reader.size - reader.off} bytes follow")
+                return messages
+            problem = _record_problem(tags.get(tag), tag, length, n_idx, n_reals)
+            if problem:
+                raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
+            words = payload[8:].view("<u8")  # 8-aligned: the count, then whole words
+            messages.append(WorkerMessage(tags[tag], words[:n_idx].astype(np.int64),
+                                          words[n_idx:].view("<f8")))
     raise IngestError(f"{path}: the log ends after {len(messages)} messages, without an end record")
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,11 +60,12 @@ def stream_rng(seed: int, kind: str) -> np.random.Generator:
 class Dataset:
     """Dense design matrix X (n x p) with response y and column names.
 
-    Rejects non-finite entries and zero-norm columns at construction so the
-    solvers never have to re-validate, and (shards too) scaling metadata the
-    cache cannot store. ``column_curvature`` (the per-column squared norms
-    over n) is cached; it does not depend on any iterate. So are the columns
-    ``columns`` has gathered; X is never mutated after construction.
+    Rejects non-finite entries and zero-curvature columns at construction so
+    the solvers never have to re-validate, and (shards too) scaling metadata
+    the cache cannot store. ``column_curvature`` (the per-column squared
+    norms over n) is cached; validation computes it, and it does not depend
+    on any iterate. So are the columns ``columns`` has gathered; X is never
+    mutated after construction.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -99,12 +100,12 @@ class Dataset:
             raise ValueError("design matrix contains non-finite entries")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("response contains non-finite entries")
-        norms = np.einsum("ij,ij->j", self.x, self.x)
-        dead = np.flatnonzero(norms == 0.0)
+        # A column whose squared norm over n underflows would give d = inf.
+        dead = np.flatnonzero(self.column_curvature() == 0.0)
         if dead.size:
             name = self.feature_names[dead[0]]
             raise DegenerateColumnError(
-                f"column {dead[0]} ({name!r}) has zero norm", column=name
+                f"column {dead[0]} ({name!r}) has zero curvature", column=name
             )
 
     @property
@@ -175,13 +176,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of one synthetic instance; r_* = sqrt(2 log(p)/n) is derived."""
+    """Shape of one synthetic draw; r_* = sqrt(2 log(p)/n) is derived."""
 
     n: int
     p: int
     s: int
     signal_ratio: float = 20.0
-    tau: float = 0.5
     noise_sd: float = 1.0
     seed: int = 0
 
@@ -289,20 +289,23 @@ def generate(spec: SyntheticSpec):
 
 
 def generate_test(spec: SyntheticSpec, truth: SparseCoefficients, n_test: int):
-    """Fresh rows and noise under an existing ground truth (held-out set)."""
-    test_spec = SyntheticSpec(
-        n=n_test, p=spec.p, s=spec.s, signal_ratio=spec.signal_ratio,
-        tau=spec.tau, noise_sd=spec.noise_sd, seed=spec.seed,
-    )
+    """Fresh rows and noise under an existing ground truth (held-out set):
+    ``spec`` with ``n_test`` rows, drawn from the seed's test stream."""
+    test_spec = replace(spec, n=n_test)
     data, _ = _draw_instance(test_spec, stream_rng(spec.seed, "test"), truth=truth)
     return data
 
 
-_EXAMPLE_GRIDS = {
-    1: {"machines": (2, 4, 8, 16, 32, 64, 128)},
-    2: {"machines": tuple(range(2, 17, 2))},
-    3: {"p": tuple(range(2000, 10001, 2000)), "sparsity": tuple(range(2, 21, 2))},
-    4: {"s": tuple(range(2, 21, 2)), "sparsity": tuple(range(2, 21, 2))},
+# Per example: the base cell, and the grid axes whose knobs override it.
+_EXAMPLES = {
+    1: (dict(n=100_000, p=500, s=10, sparsity=10, machines=2),
+        {"machines": (2, 4, 8, 16, 32, 64, 128)}),
+    2: (dict(n=5000, p=10_000, s=10, sparsity=10, machines=2),
+        {"machines": tuple(range(2, 17, 2))}),
+    3: (dict(n=5000, p=2000, s=10, sparsity=10, machines=5),
+        {"p": tuple(range(2000, 10001, 2000)), "sparsity": tuple(range(2, 21, 2))}),
+    4: (dict(n=5000, p=10_000, s=10, sparsity=10, machines=5),
+        {"s": tuple(range(2, 21, 2)), "sparsity": tuple(range(2, 21, 2))}),
 }
 
 
@@ -313,31 +316,18 @@ def example_config(example: int, scale: float = 1.0, replicates: int = 100,
     ``scale`` shrinks n and p proportionally (floored) for desk-scale runs
     and is recorded in the returned config. Knobs select the grid point:
     ``machines`` for examples 1-2, ``p``/``sparsity`` for example 3,
-    ``s``/``sparsity`` for example 4.
+    ``s``/``sparsity`` for example 4; each must lie on the example's grid.
     """
-    if example not in _EXAMPLE_GRIDS:
-        raise ConfigurationError(f"example must be 1..4, got {example}")
-    grid = _EXAMPLE_GRIDS[example]
+    grid = example_grid(example)
     bad = set(knobs) - set(grid)
     if bad:
         raise ConfigurationError(f"example {example} does not take knobs {sorted(bad)}")
-
-    if example == 1:
-        base = dict(n=100_000, p=500, s=10, sparsity=10, machines=knobs.get("machines", 2))
-    elif example == 2:
-        base = dict(n=5000, p=10_000, s=10, sparsity=10, machines=knobs.get("machines", 2))
-    elif example == 3:
-        base = dict(n=5000, p=knobs.get("p", 2000), s=10,
-                    sparsity=knobs.get("sparsity", 10), machines=5)
-    else:
-        base = dict(n=5000, p=10_000, s=knobs.get("s", 10),
-                    sparsity=knobs.get("sparsity", 10), machines=5)
-
     for key, allowed in grid.items():
         if key in knobs and knobs[key] not in allowed:
             raise ConfigurationError(
                 f"example {example}: {key}={knobs[key]} not on the grid {allowed}"
             )
+    base = {**_EXAMPLES[example][0], **knobs}
 
     if not 0 < scale <= 1:
         raise ConfigurationError(f"scale must lie in (0, 1], got {scale}")
@@ -354,9 +344,9 @@ def example_config(example: int, scale: float = 1.0, replicates: int = 100,
 
 def example_grid(example: int):
     """Grid axes (knob name -> values) of one benchmark example."""
-    if example not in _EXAMPLE_GRIDS:
+    if example not in _EXAMPLES:
         raise ConfigurationError(f"example must be 1..4, got {example}")
-    return dict(_EXAMPLE_GRIDS[example])
+    return dict(_EXAMPLES[example][1])
 
 
 def _standardize_columns(x, names):
@@ -520,32 +510,21 @@ def save_cache(path, data: Dataset) -> None:
             out.write(b"\x00")
 
 
-class _ByteReader:
-    """Bounds-checked cursor over the bytes of a binary file."""
+class _FileReader:
+    """Bounds-checked cursor over an open binary file: each array is read in
+    place once its size fits in what is left of the file."""
 
-    def __init__(self, path):
-        self.path = path
-        with open(path, "rb") as handle:
-            self.blob = handle.read()
-        self.size = len(self.blob)
-        self.off = 0
+    def __init__(self, path, handle):
+        self.path, self.handle, self.off = path, handle, 0
+        self.size = os.fstat(handle.fileno()).st_size
 
-    def take(self, size: int) -> int:
-        """Offset of the next ``size`` bytes; IngestError if the file ends first."""
+    def take(self, size: int) -> None:
+        """Count the next ``size`` bytes as read; IngestError if the file ends first."""
         end = self.off + size
         if end > self.size:
             raise IngestError(f"{self.path}: truncated file: expected at least {end} "
                               f"bytes, found {self.size}")
         self.off = end
-        return end - size
-
-
-class _FileReader(_ByteReader):
-    """The same checks on an open file, read into place, not held whole."""
-
-    def __init__(self, path, handle):
-        self.path, self.handle, self.off = path, handle, 0
-        self.size = os.fstat(handle.fileno()).st_size
 
     def read(self, *shape: int, dtype="u1") -> np.ndarray:
         """The next array of ``shape``, its size checked before it is allocated."""

@@ -14,7 +14,7 @@ class SingularSystemError(CesdarError):
 
 
 class DegenerateColumnError(CesdarError):
-    """A design column has zero norm (or zero variance after encoding)."""
+    """A design column has zero curvature ||x_j||^2 / n (or zero variance after encoding)."""
 
     def __init__(self, message, column=None):
         super().__init__(message)

@@ -22,23 +22,15 @@ def _check_finite(a, name):
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def gram_submatrix(x: np.ndarray, cols, scale: float) -> np.ndarray:
-    """X_A' X_A / scale for the column subset ``cols``, exactly symmetric.
+def gram_submatrix(sub: np.ndarray, scale: float) -> np.ndarray:
+    """sub' sub / scale for gathered columns ``sub`` = X_A, exactly symmetric.
 
-    ``cols=None`` takes every column of ``x``, for a caller that has gathered
-    X_A already. Symmetry is enforced by computing the product once and
-    mirroring the upper triangle, so the result is bitwise symmetric.
+    Symmetry is enforced by computing the product once and mirroring the
+    upper triangle, so the result is bitwise symmetric.
     """
-    x = np.asarray(x, dtype=float)
+    sub = np.asarray(sub, dtype=float)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if cols is None:
-        sub = x
-    else:
-        cols = np.asarray(cols, dtype=np.int64)
-        if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
-            raise IndexError(f"column index out of range for p={x.shape[1]}")
-        sub = x[:, cols]
     g = sub.T @ sub / scale
     upper = np.triu(g)
     return upper + np.triu(g, 1).T

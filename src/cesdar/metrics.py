@@ -163,8 +163,8 @@ def refold(algorithm: str, machines: int, replicates: int, trials) -> MetricsSum
 def _run_one_trial(config: ExperimentConfig, replicate: int) -> TrialResult:
     seed = config.base_seed + replicate
     spec = SyntheticSpec(n=config.n, p=config.p, s=config.s,
-                         signal_ratio=config.signal_ratio, tau=config.tau,
-                         noise_sd=config.noise_sd, seed=seed)
+                         signal_ratio=config.signal_ratio, noise_sd=config.noise_sd,
+                         seed=seed)
     train, truth = generate(spec)
     test = generate_test(spec, truth, config.n_test)
 

@@ -96,7 +96,7 @@ def detect_active(beta: SparseCoefficients, d: np.ndarray, g: np.ndarray,
 def normal_equations(data: Dataset, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X_A'X_A/n, X_A'y/n): the least-squares system of ``data`` on ``active``."""
     sub = data.columns(active)
-    gram = gram_submatrix(sub, None, float(data.n))
+    gram = gram_submatrix(sub, float(data.n))
     rhs = sub.T @ data.y / data.n
     return gram, rhs
 

@@ -32,6 +32,8 @@ from cesdar.metrics import (
 from cesdar.sdar import esdar_fit, kkt_residual, root_find_local
 from cesdar.tuning import acesdar_fit, hbic
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"

@@ -83,6 +83,20 @@ def test_fit_truncated_cache_is_exit_1(runner, tmp_path):
     assert "truncated file" in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args,problem", [
+    (["fit", "--algo", "nope", "--data", "d.bin"], "Invalid value for '--algo'"),
+    (["fit", "--algo", "acesdar", "--data", "d.bin"], "Invalid value for '--algo'"),
+    (["fit"], "Missing option '--data'"),
+    (["tune", "--step", "abc", "--data", "d.bin"], "Invalid value for '--step'"),
+], ids=["unknown_algo", "acesdar_is_tune", "no_data", "step_not_integer"])
+def test_usage_error_is_one_line_exit_1(runner, args, problem):
+    # Exit 2 is reserved for a fit that did not converge.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: usage: {problem}")
+    assert result.output.count("\n") == 1
+
+
 def test_fit_csv_without_response_is_exit_1(runner, tmp_path):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("a,y\n1,2\n")

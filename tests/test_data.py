@@ -380,6 +380,18 @@ def test_dataset_rejects_zero_norm_column():
         Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), np.ones(2))
 
 
+def test_dataset_rejects_underflowing_curvature():
+    # Column 3's squared norm is positive, but divided by n=40 it rounds to 0,
+    # so an unchecked fit would get d[3] = inf and NaN detection keys.
+    x = np.random.default_rng(0).standard_normal((40, 6))
+    x[:, 3] = 0.0
+    x[7, 3] = 5e-162
+    assert x[:, 3] @ x[:, 3] > 0.0
+    with pytest.raises(DegenerateColumnError, match=r"column 3 \('x3'\) has zero curvature") as err:
+        Dataset(x, x[:, 0])
+    assert err.value.column == "x3"
+
+
 def test_dataset_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[1.0], [np.inf]]), np.ones(2))

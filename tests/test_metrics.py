@@ -135,7 +135,7 @@ def test_oracle_implies_full_discovery_and_oracle_error():
             assert trial.pdr_term == 1.0
             data, truth = generate(SyntheticSpec(
                 n=config.n, p=config.p, s=config.s, signal_ratio=config.signal_ratio,
-                tau=config.tau, noise_sd=config.noise_sd, seed=trial.seed))
+                noise_sd=config.noise_sd, seed=trial.seed))
             ls, _ = root_find_local(data, truth.support)
             assert trial.aee == pytest.approx(estimation_error(ls, truth), rel=1e-9)
 

@@ -86,7 +86,7 @@ def test_cached_columns_leave_every_product_bitwise_unchanged():
         assert np.array_equal(residual_correlation(data, SparseCoefficients(data.p, active, values)),
                               dual)
         gram, rhs = normal_equations(data, active)
-        assert np.array_equal(gram, gram_submatrix(data.x, active, float(data.n)))
+        assert np.array_equal(gram, gram_submatrix(data.x[:, active], float(data.n)))
         assert np.array_equal(rhs, data.x[:, active].T @ data.y / data.n)
         swap = rng.choice(active.size, 2, replace=False)
         active[swap] = rng.choice(np.setdiff1d(np.arange(data.p), active), 2, replace=False)

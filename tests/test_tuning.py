@@ -125,7 +125,8 @@ def test_acesdar_sweep_respects_cap():
 
 
 def test_warm_start_not_worse_than_cold():
-    # acesdar already guards this internally; verify from the outside.
+    # Nothing guards this: the path keeps each warm-started fit even when a
+    # cold fit would reach a lower loss. This shape passes anyway.
     data, _ = generate(SyntheticSpec(n=500, p=60, s=6, seed=9))
     _, path = acesdar_fit(data, TuningConfig(step=1, machines=2, j_override=10))
     for point in path:
