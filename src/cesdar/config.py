@@ -48,6 +48,7 @@ class TuningConfig:
             raise ConfigurationError(f"machines must be >= 1, got {self.machines}")
         if self.j_override is not None and self.j_override < 1:
             raise ConfigurationError("j_override must be >= 1 when set")
+        SolverConfig(sparsity=1, tau=self.tau, max_iter=self.max_iter)  # its tau, max_iter checks
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import cesdar_fit, ecesdar_fit
+from .cluster import CommLedger, cesdar_fit, ecesdar_fit
 from .config import ExperimentConfig
 from .data import Dataset, SparseCoefficients, SyntheticSpec, generate, generate_test
 from .sdar import esdar_fit, root_find_local
@@ -29,6 +29,7 @@ __all__ = [
     "prediction_error",
     "discovery_rates",
     "oracle_indicator",
+    "SOLVERS",
     "TrialResult",
     "MetricsSummary",
     "run_cell",
@@ -44,6 +45,14 @@ __all__ = [
 
 SCHEMA_VERSION = "bench-v1"
 ORACLE_TOL = 1e-8
+
+# The fixed-T solvers by algorithm name, each called as (data, machines,
+# SolverConfig); ESDAR runs on one machine. ACESDAR, which picks T, is not one.
+SOLVERS = {
+    "esdar": lambda data, machines, cfg: esdar_fit(data, cfg),
+    "cesdar": cesdar_fit,
+    "ecesdar": ecesdar_fit,
+}
 
 
 def _dense(beta) -> np.ndarray:
@@ -171,22 +180,17 @@ def _run_one_trial(config: ExperimentConfig, replicate: int) -> TrialResult:
     # ART times the algorithm only; data generation and metric evaluation
     # stay outside, and the simulated transfers cost nothing by design.
     start = time.perf_counter()
-    selected = config.sparsity
-    if config.algorithm == "esdar":
-        fit = esdar_fit(train, config.solver_config())
-    elif config.algorithm == "cesdar":
-        fit = cesdar_fit(train, config.machines, config.solver_config())
-    elif config.algorithm == "ecesdar":
-        fit = ecesdar_fit(train, config.machines, config.solver_config())
-    else:
+    if config.algorithm == "acesdar":
         best, _path = acesdar_fit(train, config.tuning_config())
-        fit = best.fit
-        selected = best.sparsity
+        fit, selected = best.fit, best.sparsity
+    else:
+        fit = SOLVERS[config.algorithm](train, config.machines, config.solver_config())
+        selected = config.sparsity
     elapsed = time.perf_counter() - start
 
     beta_hat = fit.beta
     pdr, inactive = discovery_rates(beta_hat.support, truth.support, config.p)
-    ledger = fit.ledger
+    ledger = fit.ledger or CommLedger()
     return TrialResult(
         replicate=replicate, seed=seed, beta_hat=beta_hat,
         iterations=fit.iterations, converged=fit.converged,
@@ -196,8 +200,8 @@ def _run_one_trial(config: ExperimentConfig, replicate: int) -> TrialResult:
         pdr_term=pdr, inactive_term=inactive,
         oracle=oracle_indicator(train, beta_hat, truth.support),
         selected_sparsity=selected,
-        worker_to_master_bytes=ledger.worker_to_master_bytes() if ledger else 0,
-        total_bytes=ledger.total_bytes() if ledger else 0,
+        worker_to_master_bytes=ledger.worker_to_master_bytes(),
+        total_bytes=ledger.total_bytes(),
         support_star=tuple(int(i) for i in truth.support),
     )
 
@@ -218,7 +222,8 @@ def _trial_or_error(args) -> TrialResult:
 
 
 def run_cell(config: ExperimentConfig, jobs: int = 1):
-    """Run one simulation cell; fresh data per replicate, seed base + a.
+    """Run one simulation cell; fresh data per replicate, seed base + a, in
+    min(jobs, replicates) worker processes when jobs > 1.
 
     Returns (MetricsSummary, list[TrialResult]); trials are folded in
     replicate order regardless of how workers finish, so the summary is
@@ -226,7 +231,7 @@ def run_cell(config: ExperimentConfig, jobs: int = 1):
     """
     tasks = [(config, a) for a in range(config.replicates)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             trials = list(pool.map(_trial_or_error, tasks))
     else:
         trials = [_trial_or_error(task) for task in tasks]

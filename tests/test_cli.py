@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from cesdar.cli import main
 from cesdar.data import load_cache
+from cesdar.metrics import SOLVERS
 
 
 @pytest.fixture()
@@ -66,6 +67,17 @@ def test_fit_esdar_on_csv(runner, tmp_path):
     assert payload["support"] == [1]
 
 
+def test_esdar_model_records_one_machine(runner, tmp_path):
+    cache = gen_cache(runner, tmp_path)
+    model = tmp_path / "m.json"
+    result = run(runner, ["fit", "--algo", "esdar", "--machines", "4", "--sparsity", "3",
+                          "--data", str(cache), "--out", str(model)])
+    assert result.exit_code == 0
+    payload = json.loads(model.read_text())
+    assert payload["machines"] == 1
+    assert payload["ledger"] == {"messages": 0, "total_bytes": 0, "worker_to_master_bytes": 0}
+
+
 def test_fit_missing_file_is_exit_1(runner, tmp_path):
     result = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.bin")])
     assert result.exit_code == 1
@@ -95,6 +107,38 @@ def test_usage_error_is_one_line_exit_1(runner, args, problem):
     assert result.exit_code == 1
     assert result.output.startswith(f"error: usage: {problem}")
     assert result.output.count("\n") == 1
+
+
+def test_bad_env_seed_is_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["gen", "--out", str(tmp_path / "s.bin")],
+                           env={"CESDAR_SEED": "abc"})
+    assert result.exit_code == 1
+    assert result.output.startswith("error: usage: Invalid value for '--seed'")
+    assert "CESDAR_SEED" in result.output and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,args", [
+    ("fit", ["--sparsity", "3", "--out", "{missing}/m.json"]),
+    ("tune", ["--j-override", "4", "--path-out", "{missing}/p.csv", "--out", "{tmp}/m.json"]),
+    ("tune", ["--j-override", "4", "--path-out", "{tmp}/p.csv", "--out", "{missing}/m.json"]),
+    ("bench", ["--example", "1", "--scale", "0.1", "--replicates", "1",
+               "--out-dir", "{cache}/sub"]),
+    ("gen", ["--n", "50", "--p", "5", "--s", "1", "--out", "{missing}/s.bin"]),
+    ("ingest", ["--response", "y", "--out", "{missing}/d.bin"]),
+], ids=["fit_out", "tune_path_out", "tune_out", "bench_out_dir", "gen_out", "ingest_out"])
+def test_output_write_failure_is_one_line_exit_1(runner, tmp_path, command, args):
+    cache = gen_cache(runner, tmp_path)
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,b,y\n1,2,3\n2,1,4\n3,5,5\n4,4,7\n")
+    data = {"fit": cache, "tune": cache, "ingest": csv_path}
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path, "cache": cache}
+    argv = [command] + [a.format(**paths) for a in args]
+    if command in data:
+        argv += ["--data", str(data[command])]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {command}: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_fit_csv_without_response_is_exit_1(runner, tmp_path):
@@ -278,16 +322,14 @@ def test_env_seed_is_default(runner, tmp_path, monkeypatch):
 
 def test_fit_nonconvergence_exit_2(runner, tmp_path, monkeypatch):
     cache = gen_cache(runner, tmp_path)
-    import cesdar.cli as cli_module
-
-    real = cli_module.cesdar_fit
+    real = SOLVERS["cesdar"]
 
     def never_converges(data, machines, cfg, **kwargs):
         result = real(data, machines, cfg, **kwargs)
         result.converged = False
         return result
 
-    monkeypatch.setattr(cli_module, "cesdar_fit", never_converges)
+    monkeypatch.setitem(SOLVERS, "cesdar", never_converges)
     model = tmp_path / "m.json"
     result = runner.invoke(main, ["fit", "--algo", "cesdar", "--sparsity", "3",
                                   "--data", str(cache), "--out", str(model)])

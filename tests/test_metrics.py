@@ -6,7 +6,9 @@ import pytest
 
 from cesdar.config import ExperimentConfig
 from cesdar.data import SyntheticSpec, generate, generate_test, stream_rng
+import cesdar.metrics as metrics_module
 from cesdar.metrics import (
+    SOLVERS,
     bound_check,
     discovery_rates,
     emit_table,
@@ -118,6 +120,34 @@ def test_run_cell_parallel_jobs_match_serial():
     parallel, tp = run_cell(config, jobs=2)
     assert serial.aee_mean == parallel.aee_mean
     assert all(a.beta_hat == b.beta_hat for a, b in zip(ts, tp))
+
+
+def test_jobs_start_at_most_one_process_per_replicate(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(metrics_module, "ProcessPoolExecutor", SerialPool)
+    config = small_cell(replicates=2)
+    serial, _ = run_cell(config, jobs=1)
+    pooled, _ = run_cell(config, jobs=500)
+    assert started == [2]
+    assert pooled.aee_mean == serial.aee_mean
+
+
+def test_solver_table_covers_every_algorithm_but_acesdar():
+    assert set(SOLVERS) | {"acesdar"} == set(ExperimentConfig._ALGOS)
 
 
 def test_refold_reproduces_summary_exactly():

@@ -83,6 +83,16 @@ def test_max_sparsity_cap_rejects_tiny_n():
         max_sparsity_cap(8, 100)
 
 
+@pytest.mark.parametrize("knobs,problem", [
+    ({"tau": 3.0}, "tau must lie in \\(0, 1\\], got 3.0"),
+    ({"tau": 0.0}, "tau must lie in \\(0, 1\\], got 0.0"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+], ids=["tau_above_1", "tau_zero", "max_iter_zero"])
+def test_tuning_config_checks_solver_knobs(knobs, problem):
+    with pytest.raises(ConfigurationError, match=problem):
+        TuningConfig(**knobs)
+
+
 # --- the adaptive sweep -------------------------------------------------------------
 
 def test_acesdar_noiseless_orthogonal_selects_true_sparsity():
