@@ -179,7 +179,11 @@ def cmd_bench(example, config_path, scale, replicates, algos, machines_filter,
     else:
         cells = _bench_cells(example, scale, replicates, seed, algos)
     if machines_filter:
-        keep = {int(m) for m in machines_filter.split(",")}
+        try:
+            keep = {int(m) for m in machines_filter.split(",")}
+        except ValueError:
+            raise click.BadParameter(f"{machines_filter!r} is not a comma-separated list of "
+                                     "integers", param_hint="'--machines'") from None
         cells = [c for c in cells if c.machines in keep]
     if not cells:
         raise CesdarError("no cells selected")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,18 +76,9 @@ __all__ = [
 MASTER_TO_WORKER = "master_to_worker"
 WORKER_TO_MASTER = "worker_to_master"
 
-MESSAGE_KINDS = (
-    "BroadcastActiveSet",
-    "BroadcastAnchor",
-    "ReportGradient",
-    "ReportDual",
-    "ReportCurvature",
-    "BroadcastFinal",
-)
-
-# Allowed payload shapes per kind: index part and real part are each one of
-# "none", "active" (at most p entries, sized by the current active set) or
-# "p" (exactly the dimension). Nothing row-sized is expressible.
+# Allowed payload shapes per kind, in tag order: index part and real part are
+# each one of "none", "active" (at most p entries, sized by the current active
+# set) or "p" (exactly the dimension). Nothing row-sized is expressible.
 PROTOCOL_SHAPES = {
     "BroadcastActiveSet": ("active", "active"),
     "BroadcastAnchor": ("active", "active"),
@@ -95,6 +87,7 @@ PROTOCOL_SHAPES = {
     "ReportCurvature": ("none", "p"),
     "BroadcastFinal": ("active", "active"),
 }
+MESSAGE_KINDS = tuple(PROTOCOL_SHAPES)
 
 HEADER_BYTES = 16
 _KIND_TAGS = {kind: i + 1 for i, kind in enumerate(MESSAGE_KINDS)}
@@ -145,25 +138,28 @@ def message_bytes(n_indices: int, n_reals: int) -> int:
     return HEADER_BYTES + 8 * n_indices + 8 * n_reals
 
 
+def _shape_problem(kind: str, n_idx: int, n_reals: int, p: int | None = None,
+                   active_size: int | None = None) -> str | None:
+    """Why ``n_idx`` indices and ``n_reals`` reals are off protocol for ``kind``, or None.
+    Without ``active_size`` (a logged record) an index part sizes the active set."""
+    idx_shape, real_shape = PROTOCOL_SHAPES[kind]
+    if active_size is None and idx_shape == "active":
+        active_size = n_idx
+    for shape, size in ((idx_shape, n_idx), (real_shape, n_reals)):
+        want = 0 if shape == "none" else active_size if shape == "active" else p
+        if (want is not None and size != want) or (p is not None and size > p):
+            return f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
+    return None
+
+
 def _audit_shape(message: WorkerMessage, p: int, active_size: int) -> None:
     """Runtime privacy audit: only aggregate vectors cross machines."""
-    idx_shape, real_shape = PROTOCOL_SHAPES[message.kind]
-    checks = ((idx_shape, message.n_indices), (real_shape, message.n_reals))
-    for shape, size in checks:
-        if shape == "none" and size != 0:
-            raise ValueError(f"{message.kind}: unexpected payload part of size {size}")
-        if shape == "active" and size != active_size:
-            raise ValueError(
-                f"{message.kind}: active-set payload of size {size}, expected {active_size}"
-            )
-        if shape == "p" and size != p:
-            raise ValueError(f"{message.kind}: full-length payload of size {size}, expected {p}")
-        if size > p:
-            raise ValueError(f"{message.kind}: payload of size {size} exceeds dimension {p}")
+    problem = _shape_problem(message.kind, message.n_indices, message.n_reals, p, active_size)
+    if problem:
+        raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     iteration: int
     kind: str
     direction: str
@@ -180,11 +176,9 @@ class CommLedger:
         self.entries: list[LedgerEntry] = []
 
     def record(self, iteration, kind, direction, n_indices, n_reals, worker) -> None:
-        self.entries.append(LedgerEntry(
-            iteration=iteration, kind=kind, direction=direction,
-            byte_size=message_bytes(n_indices, n_reals),
-            n_indices=n_indices, n_reals=n_reals, worker=worker,
-        ))
+        self.entries.append(LedgerEntry(iteration, kind, direction,
+                                        message_bytes(n_indices, n_reals),
+                                        n_indices, n_reals, worker))
 
     def total_bytes(self, direction=None) -> int:
         return sum(e.byte_size for e in self.entries
@@ -568,23 +562,17 @@ def read_message_log(path) -> list[WorkerMessage]:
                                       f"messages of {len(messages)}, then "
                                       f"{reader.size - reader.off} bytes follow")
                 return messages
-            problem = _record_problem(tags.get(tag), tag, length, n_idx, n_reals)
+            kind = tags.get(tag)
+            if kind is None:
+                problem = f"unknown kind tag {tag}"
+            elif length < 8 or length % 8 or n_reals < 0:
+                problem = f"a {length}-byte payload cannot hold a count and {n_idx} indices"
+            else:
+                problem = _shape_problem(kind, n_idx, n_reals)
             if problem:
                 raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
             words = payload[8:].view("<u8")  # 8-aligned: the count, then whole words
-            messages.append(WorkerMessage(tags[tag], words[:n_idx].astype(np.int64),
+            messages.append(WorkerMessage(kind, words[:n_idx].astype(np.int64),
                                           words[n_idx:].view("<f8")))
     raise IngestError(f"{path}: the log ends after {len(messages)} messages, without an end record")
 
-
-def _record_problem(kind, tag: int, length: int, n_idx: int, n_reals: int) -> str | None:
-    """Why a log record's header cannot be a protocol message, or None."""
-    if kind is None:
-        return f"unknown kind tag {tag}"
-    if length < 8 or length % 8 or n_reals < 0:
-        return f"a {length}-byte payload cannot hold a count and {n_idx} indices"
-    idx_shape, real_shape = PROTOCOL_SHAPES[kind]
-    if ((idx_shape == "none" and n_idx) or (real_shape == "none" and n_reals)
-            or (idx_shape == real_shape == "active" and n_idx != n_reals)):
-        return f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
-    return None

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,29 +131,24 @@ class Dataset:
         gather the few columns of an active set that changes little from
         one iteration to the next, so each column gathered is kept as a
         contiguous row of a cache and later gathers read only those rows.
-        The cache holds at most an eighth of X's columns; past that, columns
-        not yet held are read from X, as are all columns of an X narrower
-        than ``COLUMN_CACHE_MIN_COLUMNS``.
+        The cache is one buffer allocated at its bound, an eighth of X's
+        columns, whose pages are touched only as its rows fill; past that,
+        columns not yet held are read from X, as are all columns of an X
+        narrower than ``COLUMN_CACHE_MIN_COLUMNS``.
         """
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size == 0 or self.p < COLUMN_CACHE_MIN_COLUMNS:
             return self.x[:, cols]
         if self._column_slot is None:
             self._column_slot = np.full(self.p, -1, dtype=np.int64)
+            self._column_rows = np.empty((max(1, self.p // 8), self.n))
         slots = self._column_slot[cols]
         if (slots < 0).any():
             new = np.unique(cols[slots < 0])
-            count, limit = self._column_count, max(1, self.p // 8)
-            need = count + new.size
-            if need > limit:
+            count, need = self._column_count, self._column_count + new.size
+            if need > self._column_rows.shape[0]:
                 return self.x[:, cols]
-            rows = self._column_rows
-            if rows is None or rows.shape[0] < need:
-                grown = np.empty((min(limit, max(16, 2 * need)), self.n))
-                if count:
-                    grown[:count] = rows[:count]
-                self._column_rows = rows = grown
-            rows[count:need] = self.x[:, new].T
+            self._column_rows[count:need] = self.x[:, new].T
             self._column_slot[new] = np.arange(count, need)
             self._column_count = need
             slots = self._column_slot[cols]
@@ -362,6 +358,13 @@ def _standardize_columns(x, names):
     return centered / scales, means, scales
 
 
+def _check_unique(path, names, problem: str) -> None:
+    """IngestError naming ``path`` and the first name listed twice in ``names``."""
+    repeat = next((name for name, count in Counter(names).items() if count > 1), None)
+    if repeat is not None:
+        raise IngestError(f"{path}: {problem} {repeat!r}")
+
+
 def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0,
                noise_seed=0, standardize=True, drop_first=True) -> Dataset:
     """Load a CSV into a Dataset: dummy-encode, append noise columns, scale.
@@ -373,7 +376,9 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     ``standardize`` every column (dummies and noise included) is centered to
     mean zero and scaled to unit variance, and so is the response.
 
-    Unparseable numeric cells raise with the 1-based data row number.
+    Unparseable numeric cells raise with the 1-based data row number; a
+    repeated header name, a categorical response or a name shared by two
+    columns of X (say ``c=v`` beside categorical ``c``) raise IngestError.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -382,11 +387,14 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
         rows = list(reader)
+    _check_unique(path, header, "the header repeats column")
     if response_column not in header:
         raise IngestError(f"{path}: response column {response_column!r} not found")
     missing = [c for c in categorical_columns if c not in header]
     if missing:
         raise IngestError(f"{path}: categorical columns {missing} not found")
+    if response_column in categorical_columns:
+        raise IngestError(f"{path}: response column {response_column!r} cannot be categorical")
     if not rows:
         raise IngestError(f"{path}: no data rows")
 
@@ -431,6 +439,7 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
         for j in range(int(n_noise_features)):
             blocks.append(noise[:, j])
             names.append(f"noise{j + 1}")
+    _check_unique(path, names, "two columns of X would be named")
 
     x = np.column_stack(blocks)
     y = parse(response_column)

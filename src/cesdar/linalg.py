@@ -1,13 +1,14 @@
 """Minimal dense linear algebra used by the solvers.
 
-Thin, validated wrappers over numpy/scipy. Everything here is deterministic
-for identical inputs (fixed accumulation order inside BLAS for a fixed
-build), which the M=1 reduction tests rely on.
+Thin, validated wrappers over numpy and LAPACK, whose ``dpotrf``/``dpotrs``
+``spd_solve`` calls directly. Everything here is deterministic for identical
+inputs (fixed accumulation order inside BLAS for a fixed build), which the
+M=1 reduction tests rely on.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import SingularSystemError
 
@@ -63,22 +64,12 @@ def spd_solve(a: np.ndarray, b: np.ndarray, active_set=None):
     _check_finite(b, "rhs")
     if not np.array_equal(a, a.T):
         raise ValueError("spd_solve expects an exactly symmetric matrix")
-    if a.shape[0] == 0:
-        return np.zeros(0), False
-    # Both inputs are checked above, so scipy need not scan them again.
-    try:
-        return cho_solve(cho_factor(a, lower=True, check_finite=False), b,
-                         check_finite=False), False
-    except LinAlgError:
-        pass
     dim = a.shape[0]
-    jitter = 1e-10 * np.trace(a) / dim
-    try:
-        factor = cho_factor(a + jitter * np.eye(dim), lower=True, check_finite=False)
-        return cho_solve(factor, b, check_finite=False), True
-    except LinAlgError:
-        raise SingularSystemError(
-            f"active-set system of dimension {dim} singular even after jitter {jitter:g}",
-            active_set=active_set,
-        ) from None
-
+    if dim == 0:
+        return np.zeros(0), False
+    for jitter in (0.0, 1e-10 * np.trace(a) / dim):
+        factor, info = dpotrf(a + jitter * np.eye(dim) if jitter else a, lower=1)
+        if info == 0:
+            return dpotrs(factor, b, lower=1)[0], bool(jitter)
+    raise SingularSystemError(f"active-set system of dimension {dim} singular even after "
+                              f"jitter {jitter:g}", active_set=active_set)

@@ -50,10 +50,8 @@ def hbic(data: Dataset, beta: SparseCoefficients, loss: float | None = None) -> 
     return math.log(mse) + math.log(math.log(data.n)) * math.log(data.p) / data.n * size
 
 
-def max_sparsity_cap(n: int, p: int, override: int | None = None) -> int:
+def max_sparsity_cap(n: int, p: int) -> int:
     """floor(n / (log(log n) * log p)), the largest sparsity worth sweeping."""
-    if override is not None:
-        return int(override)
     if n < 16:
         raise ConfigurationError(
             f"n={n} is too small for the sparsity cap formula; set j_override"
@@ -68,19 +66,17 @@ def path_cap(data: Dataset, tune: TuningConfig) -> int:
     master-shard size floor(N/M), or ``tune.j_override``, and never above p.
     ValueError if there are more machines than rows."""
     _check_machines(data.n, tune.machines)
-    return min(max_sparsity_cap(data.n // tune.machines, data.p, tune.j_override), data.p)
+    cap = tune.j_override or max_sparsity_cap(data.n // tune.machines, data.p)
+    return min(int(cap), data.p)
 
 
 @dataclass
 class PathPoint:
-    """One sweep entry: target sparsity, its fit, and the HBIC score."""
+    """One sweep entry: target sparsity, its fit, its loss and HBIC score."""
 
     sparsity: int
-    beta: SparseCoefficients
     hbic: float
-    iterations: int
     loss: float
-    support_size: int
     fit: FitResult
     # Never set; perfbench/spans.py reads it until the next benchmark change.
     cold_fallback: bool = False
@@ -102,11 +98,8 @@ def acesdar_fit(data: Dataset, tune: TuningConfig):
         cfg = SolverConfig(sparsity=sparsity, tau=tune.tau, max_iter=tune.max_iter)
         fit = cesdar_fit(data, tune.machines, cfg, warm=warm, cluster=cluster)
         loss = _half_mse_loss(data, fit.beta)
-        path.append(PathPoint(
-            sparsity=sparsity, beta=fit.beta, hbic=hbic(data, fit.beta, loss),
-            iterations=fit.iterations, loss=loss,
-            support_size=int(np.count_nonzero(fit.beta.values)), fit=fit,
-        ))
+        path.append(PathPoint(sparsity=sparsity, hbic=hbic(data, fit.beta, loss),
+                              loss=loss, fit=fit))
         warm = (fit.beta, fit.d)
     return min(path, key=lambda point: point.hbic), path  # the first of tied minima
 
@@ -116,5 +109,5 @@ def write_path_csv(path_points, out_path) -> None:
     with open(out_path, "w", newline="") as out:
         out.write("sparsity,hbic,support_size,iterations,loss\n")
         for point in path_points:
-            out.write(f"{point.sparsity},{point.hbic!r},{point.support_size},"
-                      f"{point.iterations},{point.loss!r}\n")
+            out.write(f"{point.sparsity},{point.hbic!r},{point.fit.beta.support.size},"
+                      f"{point.fit.iterations},{point.loss!r}\n")

@@ -100,7 +100,8 @@ def test_fit_truncated_cache_is_exit_1(runner, tmp_path):
     (["fit", "--algo", "acesdar", "--data", "d.bin"], "Invalid value for '--algo'"),
     (["fit"], "Missing option '--data'"),
     (["tune", "--step", "abc", "--data", "d.bin"], "Invalid value for '--step'"),
-], ids=["unknown_algo", "acesdar_is_tune", "no_data", "step_not_integer"])
+    (["bench", "--example", "1", "--machines", "abc"], "Invalid value for '--machines'"),
+], ids=["unknown_algo", "acesdar_is_tune", "no_data", "step_not_integer", "machines_not_integers"])
 def test_usage_error_is_one_line_exit_1(runner, args, problem):
     # Exit 2 is reserved for a fit that did not converge.
     result = runner.invoke(main, args)

@@ -386,6 +386,28 @@ def test_audit_rejects_off_protocol_payload():
         _audit_shape(oversized, p=30, active_size=4)
 
 
+@pytest.mark.parametrize("kind,n_idx,n_reals", [
+    ("ReportCurvature", 3, 27),
+    ("BroadcastAnchor", 3, 5),
+    ("ReportGradient", 2, 4),
+    ("BroadcastFinal", 0, 1),
+])
+def test_off_protocol_text_is_shared_by_audit_and_log(tmp_path, kind, n_idx, n_reals):
+    # One shape rule: the live audit and the log reader reject the same
+    # header with the same text.
+    from cesdar.cluster import _audit_shape
+    message = WorkerMessage(kind, np.arange(n_idx), np.ones(n_reals))
+    text = f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
+    with pytest.raises(ValueError) as audit:
+        _audit_shape(message, p=30, active_size=n_idx)
+    assert str(audit.value) == text
+    path = tmp_path / "messages.bin"
+    write_message_log(path, [message])
+    with pytest.raises(IngestError) as logged:
+        read_message_log(path)
+    assert str(logged.value) == f"{path}: record 0 at byte 0: {text}"
+
+
 # --- failure and logging ------------------------------------------------------
 
 @pytest.mark.parametrize("failed", [1, 3], ids=["first_worker", "last_worker"])
@@ -438,10 +460,12 @@ def test_master_shard_rank_deficient_gram():
     beta, jittered, rounds, converged = surrogate_root_find(cluster, active, cluster.curvature())
     oracle, oracle_jittered = root_find_local(data, active)
     assert jittered and converged and not oracle_jittered
+    assert type(jittered) is bool
     assert np.abs(beta.dense() - oracle.dense()).max() <= 1e-9
     for fitter in (cesdar_fit, ecesdar_fit):
         result = fitter(data, 4, SolverConfig(sparsity=4))
         assert result.jittered and result.converged
+        assert type(result.jittered) is bool
         assert np.all(np.isfinite(result.beta.values))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,6 +188,20 @@ def test_ingest_unparseable_cell_names_row(tmp_path):
 def test_ingest_missing_response(tmp_path):
     with pytest.raises(IngestError, match="nope"):
         ingest_csv(write_csv(tmp_path), "nope")
+
+
+@pytest.mark.parametrize("body,response,categorical,problem", [
+    ("a,b,a,y\n1,2,3,4\n2,3,1,5\n", "y", [], "the header repeats column 'a'"),
+    (CSV_BODY, "price", ["color", "color"], "two columns of X would be named 'color=green'"),
+    ("c,c=z,y\nx,1,1\nz,0,2\n", "y", ["c"], "two columns of X would be named 'c=z'"),
+    (CSV_BODY, "price", ["price"], "response column 'price' cannot be categorical"),
+], ids=["repeated_header", "repeated_categorical", "numeric_named_like_dummy",
+        "categorical_response"])
+def test_ingest_rejects_shared_names(tmp_path, body, response, categorical, problem):
+    # Each would give X a column that copies another column or the response.
+    with pytest.raises(IngestError, match=re.escape(f"data.csv: {problem}")):
+        ingest_csv(write_csv(tmp_path, body), response, categorical_columns=categorical,
+                   standardize=False)
 
 
 def test_ingest_constant_column_named(tmp_path):

@@ -79,5 +79,5 @@ def test_tune_on_ingested_data(price_csv):
     best, path = acesdar_fit(train, TuningConfig(step=1, machines=4, j_override=8))
     assert 2 <= best.sparsity <= 8
     assert len(path) == 8
-    names = [train.feature_names[j] for j in best.beta.support]
+    names = [train.feature_names[j] for j in best.fit.beta.support]
     assert "volume" in names

@@ -10,7 +10,7 @@ from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
 from cesdar.exceptions import ConfigurationError
 from cesdar.sdar import SparseCoefficients
-from cesdar.tuning import acesdar_fit, hbic, max_sparsity_cap, write_path_csv
+from cesdar.tuning import acesdar_fit, hbic, max_sparsity_cap, path_cap, write_path_csv
 
 
 def orthogonal_design(n, p, seed=0):
@@ -74,8 +74,10 @@ def test_max_sparsity_cap_small_n_hand_value():
     assert max_sparsity_cap(16, 3) == 14
 
 
-def test_max_sparsity_cap_override_wins():
-    assert max_sparsity_cap(16, 3, override=25) == 25
+def test_path_cap_override_wins():
+    # n=8 is too small for the formula, which j_override replaces.
+    data, _ = generate(SyntheticSpec(n=8, p=30, s=2, seed=0))
+    assert path_cap(data, TuningConfig(j_override=25)) == 25
 
 
 def test_max_sparsity_cap_rejects_tiny_n():
@@ -102,9 +104,9 @@ def test_acesdar_noiseless_orthogonal_selects_true_sparsity():
     data = Dataset(x, x @ truth)
     best, path = acesdar_fit(data, TuningConfig(step=1, machines=1, j_override=8))
     assert best.sparsity == 3
-    assert np.array_equal(best.beta.support, [3, 8, 12])
+    assert np.array_equal(best.fit.beta.support, [3, 8, 12])
     # the winner also minimizes HBIC over the whole path, recomputed here
-    scores = {point.sparsity: hbic(data, point.beta) for point in path}
+    scores = {point.sparsity: hbic(data, point.fit.beta) for point in path}
     assert best.sparsity == min(scores, key=lambda t: (scores[t], t))
 
 
@@ -124,7 +126,7 @@ def test_acesdar_support_never_exceeds_target():
     data, _ = generate(SyntheticSpec(n=400, p=50, s=5, seed=7))
     _, path = acesdar_fit(data, TuningConfig(step=2, machines=2, j_override=12))
     for point in path:
-        assert point.support_size <= point.sparsity
+        assert point.fit.beta.support.size <= point.sparsity
 
 
 def test_acesdar_sweep_respects_cap():
@@ -199,7 +201,7 @@ def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
         warm = None if i == 0 else (path[i - 1].fit.beta, path[i - 1].fit.d)
         ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
         assert fit.beta == ref.beta
-        assert point.hbic == hbic(data, point.beta)  # scored from the path's loss
+        assert point.hbic == hbic(data, point.fit.beta)  # scored from the path's loss
         for name in ("d", "g"):
             assert np.array_equal(getattr(fit, name), getattr(ref, name))
         for name in ("rel_loss", "iterations", "inner_rounds", "converged"):
