@@ -11,6 +11,7 @@ experiment is replayable from a single integer seed:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -61,12 +62,12 @@ def stream_rng(seed: int, kind: str) -> np.random.Generator:
 class Dataset:
     """Dense design matrix X (n x p) with response y and column names.
 
-    Rejects non-finite entries and zero-curvature columns at construction so
-    the solvers never have to re-validate, and (shards too) scaling metadata
-    the cache cannot store. ``column_curvature`` (the per-column squared
-    norms over n) is cached; validation computes it, and it does not depend
-    on any iterate. So are the columns ``columns`` has gathered; X is never
-    mutated after construction.
+    Rejects zero rows, non-finite entries and zero-curvature columns at
+    construction in one pass over X, scanning X entrywise only when a
+    curvature is not finite, so the solvers never re-validate; shards too
+    reject scaling metadata the cache cannot store. ``column_curvature``
+    (squared column norms over n) is cached, as are the columns ``columns``
+    has gathered; neither depends on an iterate, and X is never mutated.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -97,12 +98,17 @@ class Dataset:
             self._validate()
 
     def _validate(self):
-        if not np.all(np.isfinite(self.x)):
+        if self.n < 1:  # the curvature would be 0/0
+            raise ValueError(f"dataset has no rows: X {self.x.shape}")
+        # A NaN or inf entry makes its column's curvature NaN or inf (as can a
+        # finite 1e200, by overflow), so only then is X scanned entry by entry.
+        curvature = self.column_curvature()
+        if not np.isfinite(curvature).all() and not np.isfinite(self.x).all():
             raise ValueError("design matrix contains non-finite entries")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("response contains non-finite entries")
         # A column whose squared norm over n underflows would give d = inf.
-        dead = np.flatnonzero(self.column_curvature() == 0.0)
+        dead = np.flatnonzero(curvature == 0.0)
         if dead.size:
             name = self.feature_names[dead[0]]
             raise DegenerateColumnError(
@@ -501,11 +507,9 @@ def save_cache(path, data: Dataset) -> None:
         out.write(struct.pack("<QQ", data.n, data.p))
         out.write(np.ascontiguousarray(data.x, dtype="<f8"))  # from its buffer, no bytes copy
         out.write(np.ascontiguousarray(data.y, dtype="<f8"))
-        out.write(struct.pack("<I", len(data.feature_names)))
-        for name in data.feature_names:
-            raw = name.encode("utf-8")
-            out.write(struct.pack("<I", len(raw)))
-            out.write(raw)
+        names = [name.encode("utf-8") for name in data.feature_names]
+        table = b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
+        out.write(struct.pack("<I", len(names)) + table)  # the name table in one write
         if data.standardized:
             out.write(b"\x01")
             out.write(np.ascontiguousarray(data.column_means, dtype="<f8"))
@@ -526,6 +530,18 @@ class _FileReader:
     def __init__(self, path, handle):
         self.path, self.handle, self.off = path, handle, 0
         self.size = os.fstat(handle.fileno()).st_size
+
+    def buffer_rest(self) -> None:
+        """Read the rest of the file in one call; later reads come from memory."""
+        rest = self.handle.read(self.size - self.off)
+        if len(rest) != self.size - self.off:
+            raise IngestError(f"{self.path}: the file shrank while it was read")
+        self.handle = io.BytesIO(rest)
+
+    def bytes(self, size: int) -> bytes:
+        """The next ``size`` bytes of the rest that ``buffer_rest`` read."""
+        self.take(size)
+        return self.handle.read(size)
 
     def take(self, size: int) -> None:
         """Count the next ``size`` bytes as read; IngestError if the file ends first."""
@@ -552,12 +568,15 @@ def load_cache(path) -> Dataset:
             raise IngestError(f"{path}: not a dataset cache (bad magic)")
         reader.take(5)
         n, p = struct.unpack("<QQ", reader.read(16))
+        if n < 1:
+            raise IngestError(f"{path}: the cache holds no rows")
         x, y = reader.read(n, p, dtype="<f8"), reader.read(n, dtype="<f8")
-        (count,) = struct.unpack("<I", reader.read(4))
+        reader.buffer_rest()  # the names and the scaling block
+        (count,) = struct.unpack("<I", reader.bytes(4))
         names = []
         for _ in range(count):
-            (length,) = struct.unpack("<I", reader.read(4))
-            names.append(reader.read(length).tobytes().decode("utf-8"))
+            (length,) = struct.unpack("<I", reader.bytes(4))
+            names.append(reader.bytes(length).decode("utf-8"))
         standardized = reader.read(1)[0] == 1
         means = scales = None
         if standardized:

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from cesdar.cli import main
-from cesdar.data import load_cache
+from cesdar.data import Dataset, load_cache, save_cache
 from cesdar.metrics import SOLVERS
 
 
@@ -93,6 +93,18 @@ def test_fit_truncated_cache_is_exit_1(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output.startswith("error: fit: ")
     assert "truncated file" in result.output and "Traceback" not in result.output
+
+
+def test_fit_cache_without_rows_is_exit_1(runner, tmp_path):
+    # Such a cache once gave a "converged" model with an empty support.
+    cache = tmp_path / "empty.bin"
+    save_cache(cache, Dataset(np.empty((0, 3)), np.empty(0), _validate=False))
+    model = tmp_path / "m.json"
+    result = runner.invoke(main, ["fit", "--algo", "esdar", "--sparsity", "1",
+                                  "--data", str(cache), "--out", str(model)])
+    assert result.exit_code == 1
+    assert result.output == f"error: fit: {cache}: the cache holds no rows\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("args,problem", [

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cesdar.config import ExperimentConfig
 from cesdar.data import (
+    CACHE_MAGIC,
     COLUMN_CACHE_MIN_COLUMNS,
     Dataset,
     SyntheticSpec,
@@ -375,19 +378,91 @@ def test_truncated_cache_is_ingest_error(tmp_path, section):
         load_cache(path)
 
 
+def _reference_cache_bytes(data):
+    """CSDR1 bytes as the format's first writer wrote them: field by field,
+    with one write per name length and per name."""
+    out = io.BytesIO()
+    out.write(CACHE_MAGIC)
+    out.write(struct.pack("<QQ", data.n, data.p))
+    out.write(np.ascontiguousarray(data.x, dtype="<f8"))
+    out.write(np.ascontiguousarray(data.y, dtype="<f8"))
+    out.write(struct.pack("<I", len(data.feature_names)))
+    for name in data.feature_names:
+        raw = name.encode("utf-8")
+        out.write(struct.pack("<I", len(raw)))
+        out.write(raw)
+    if data.standardized:
+        out.write(b"\x01")
+        out.write(np.ascontiguousarray(data.column_means, dtype="<f8"))
+        out.write(np.ascontiguousarray(data.column_scales, dtype="<f8"))
+    else:
+        out.write(b"\x00")
+    if data.y_mean is not None:
+        out.write(b"\x01")
+        out.write(struct.pack("<dd", data.y_mean, data.y_scale))
+    else:
+        out.write(b"\x00")
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 6), names=st.lists(st.text(max_size=8), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), standardized=st.booleans(), y_scaled=st.booleans())
+@example(n=2, names=["", "\u00e9", "\u6570\u636e", "\U0001f600", ""], seed=0,
+         standardized=True, y_scaled=True)
+def test_save_cache_writes_the_reference_bytes(tmp_path, n, names, seed, standardized,
+                                               y_scaled):
+    p = len(names)
+    rng = np.random.default_rng(seed)
+    scaling = dict(column_means=rng.standard_normal(p), column_scales=rng.uniform(0.5, 2.0, p))
+    if y_scaled:
+        scaling.update(y_mean=float(rng.standard_normal()), y_scale=float(rng.uniform(0.5, 2.0)))
+    data = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n), names,
+                   standardized=standardized, **scaling)
+    path = tmp_path / "d.bin"
+    save_cache(path, data)
+    assert path.read_bytes() == _reference_cache_bytes(data)
+
+
+def test_cache_cut_at_every_byte_after_y_is_truncated(tmp_path):
+    # The name table and the scaling block are read in one call, then walked
+    # in memory; a cut anywhere in them names the end of the first section
+    # it cuts, as when each section was read from the file.
+    x = np.random.default_rng(3).standard_normal((4, 3))
+    names = ["alpha", "", "\u00e9\u6570"]
+    data = Dataset(x, x[:, 0], names, standardized=True, column_means=np.zeros(3),
+                   column_scales=np.ones(3), y_mean=0.5, y_scale=2.0)
+    path = tmp_path / "cut.bin"
+    save_cache(path, data)
+    blob = path.read_bytes()
+    offsets, total = _cache_sections(4, 3, names)
+    assert len(blob) == total
+    ends = [o for o in offsets.values() if o > offsets["name_count"]] + [total]
+    for size in range(offsets["name_count"], total):
+        path.write_bytes(blob[:size])
+        expected = min(end for end in ends if end > size)
+        with pytest.raises(IngestError, match=rf"cut\.bin: truncated file: expected at least "
+                                              rf"{expected} bytes, found {size}$"):
+            load_cache(path)
+
+
 def test_cache_cut_while_read_is_ingest_error(tmp_path, monkeypatch):
     # load_cache checks sections against the size the file had when it was
-    # opened; a file cut after that must not leave X partly uninitialised.
+    # opened; a file cut after that must not leave X partly uninitialised,
+    # nor the name table, which is read with the rest of the file in one call.
     import cesdar.data
 
     x = np.random.default_rng(2).standard_normal((6, 2))
     path = tmp_path / "cut.bin"
-    save_cache(path, Dataset(x, x[:, 1]))
-    full = path.stat().st_size
-    path.write_bytes(path.read_bytes()[:60])  # inside X
-    monkeypatch.setattr(cesdar.data.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
-    with pytest.raises(IngestError, match=r"cut\.bin: the file shrank while it was read"):
-        load_cache(path)
+    save_cache(path, Dataset(x, x[:, 1], ["alpha", "beta"]))
+    blob = path.read_bytes()
+    offsets, _ = _cache_sections(6, 2, ["alpha", "beta"])
+    monkeypatch.setattr(cesdar.data.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+    for size in (60, offsets["name0_bytes"] + 2):  # inside X, inside the name table
+        path.write_bytes(blob[:size])
+        with pytest.raises(IngestError, match=r"cut\.bin: the file shrank while it was read"):
+            load_cache(path)
 
 
 def test_dataset_rejects_zero_norm_column():
@@ -410,6 +485,71 @@ def test_dataset_rejects_underflowing_curvature():
 def test_dataset_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[1.0], [np.inf]]), np.ones(2))
+
+
+def _two_pass_verdict(x, y, names):
+    """The validation rule as two passes: an entrywise scan of X, then the
+    curvature. ``(type, message, column)`` of the error, or None."""
+    if not np.all(np.isfinite(x)):
+        return ValueError, "design matrix contains non-finite entries", None
+    if not np.all(np.isfinite(y)):
+        return ValueError, "response contains non-finite entries", None
+    dead = np.flatnonzero(np.einsum("ij,ij->j", x, x) / x.shape[0] == 0.0)
+    if dead.size:
+        name = names[dead[0]]
+        return DegenerateColumnError, f"column {dead[0]} ({name!r}) has zero curvature", name
+    return None
+
+
+_EDITS = st.tuples(st.sampled_from(["x", "y", "column"]), st.integers(0, 2**16),
+                   st.integers(0, 2**16),
+                   st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e-170, 5e-162]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 24), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(_EDITS, max_size=4))
+@example(n=3, p=2, seed=0, edits=[("x", 0, 1, 1e200), ("column", 1, 0, -1e200)])
+@example(n=3, p=2, seed=0, edits=[("x", 0, 1, 1e200), ("x", 2, 1, np.nan)])
+@example(n=40, p=2, seed=0, edits=[("column", 7, 0, 5e-162)])
+@example(n=4, p=3, seed=1, edits=[("column", 0, 2, 1e-170), ("y", 3, 0, -np.inf)])
+def test_one_pass_validation_matches_two_passes(n, p, seed, edits):
+    # Cells of X or y set to NaN, +-inf, +-1e200 (whose square overflows, and
+    # is accepted) or a value whose square underflows, alone in a column of
+    # zeros or not.
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+    for target, row, col, value in edits:
+        if target == "column":
+            x[:, col % p] = 0.0
+        if target == "y":
+            y[row % n] = value
+        else:
+            x[row % n, col % p] = value
+    names = [f"c{j}" for j in range(p)]
+    expected = _two_pass_verdict(x, y, names)
+    if expected is None:
+        data = Dataset(x, y, names)
+        assert np.array_equal(data.column_curvature(), np.einsum("ij,ij->j", x, x) / n)
+        return
+    kind, message, column = expected
+    with pytest.raises((ValueError, DegenerateColumnError)) as err:
+        Dataset(x, y, names)
+    assert type(err.value) is kind and str(err.value) == message
+    assert getattr(err.value, "column", None) == column
+
+
+def test_dataset_rejects_zero_rows():
+    # Its curvature would be 0/0 = NaN, and a fit would run on it.
+    with pytest.raises(ValueError, match=r"dataset has no rows: X \(0, 3\)"):
+        Dataset(np.empty((0, 3)), np.empty(0))
+
+
+def test_cache_without_rows_is_ingest_error(tmp_path):
+    path = tmp_path / "empty.bin"
+    save_cache(path, Dataset(np.empty((0, 3)), np.empty(0), _validate=False))
+    with pytest.raises(IngestError, match=r"empty\.bin: the cache holds no rows"):
+        load_cache(path)
 
 
 def test_experiment_config_round_trip():

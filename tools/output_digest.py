@@ -4,7 +4,9 @@ It imports ``cesdar`` from the ``src/`` beside it, so a copy run in another
 checkout digests that one. Hashed: ESDAR, CESDAR and ECESDAR fits (beta, d,
 g, active sets, iterations, flags, inner rounds, ledger rows, message-log
 bytes) at M = 1, 2, 4, 8 on a tall, a wide (column-cached) and a jittered
-shape; ACESDAR paths at steps 1 and 2; the trial CSVs of a small ``bench``.
+shape; ACESDAR paths at steps 1 and 2; the trial CSVs of a small ``bench``;
+the CSDR1 cache bytes of a standardized, a plain and a generated dataset,
+and what ``load_cache`` reads back from them.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
 """
@@ -15,13 +17,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from cesdar.cli import main  # noqa: E402
 from cesdar.cluster import (SimulatedCluster, cesdar_fit, ecesdar_fit,  # noqa: E402
                            write_message_log)
 from cesdar.config import SolverConfig, TuningConfig  # noqa: E402
-from cesdar.data import SyntheticSpec, generate  # noqa: E402
+from cesdar.data import (Dataset, SyntheticSpec, generate, load_cache,  # noqa: E402
+                         save_cache)
 from cesdar.sdar import esdar_fit  # noqa: E402
 from cesdar.tuning import acesdar_fit, write_path_csv  # noqa: E402
 
@@ -43,8 +47,26 @@ def fit_record(fit, scratch: Path) -> str:
                  rows, log))
 
 
+def cache_datasets():
+    """A standardized dataset with non-ASCII and empty names, a plain one and
+    a generated 50x300 one."""
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((7, 5)), rng.standard_normal(7)
+    names = ["", "\u00e9t\u00e9", "\u6570\u636e", "\U0001f600", "x4"]
+    yield Dataset(x, y, names, standardized=True, column_means=rng.standard_normal(5),
+                  column_scales=rng.uniform(0.5, 2.0, 5), y_mean=0.25, y_scale=1.5)
+    yield Dataset(x[:, :3], y)
+    yield generate(SyntheticSpec(n=50, p=300, s=5, seed=4))[0]
+
+
 def digests(scratch: Path) -> dict:
-    out = {kind: hashlib.sha256() for kind in ("esdar", "cesdar", "ecesdar", "acesdar", "bench")}
+    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache")
+    out = {kind: hashlib.sha256() for kind in kinds}
+    for data in cache_datasets():
+        save_cache(scratch / "data.bin", data)
+        back = load_cache(scratch / "data.bin")
+        out["cache"].update((scratch / "data.bin").read_bytes())
+        out["cache"].update(repr(back.feature_names).encode() + back.x.tobytes() + back.y.tobytes())
     for n, p, s, sparsity, seed in SHAPES:
         data, _ = generate(SyntheticSpec(n=n, p=p, s=s, seed=seed))
         cfg = SolverConfig(sparsity=sparsity)
