@@ -1,11 +1,11 @@
 """Simulated M-machine cluster with exact per-message byte accounting.
 
 Machine 0 is the master and owns the first shard; machines 1..M-1 are
-workers that communicate with the master only through WorkerMessage values,
-each moved by one cluster method in either direction. No worker ever sees
-another shard, and no message ever carries row data: payloads are |A|-length
-or p-length aggregate vectors (audited on every transfer, recorded in the
-ledger).
+workers that communicate with the master only through WorkerMessage values.
+A broadcast is built, audited and decoded once, then moved to each worker in
+order, which answers it; each reply is audited and moved once. Every move is
+one ledger row. No worker ever sees another shard, and no message ever
+carries row data: payloads are |A|-length or p-length aggregate vectors.
 
 Protocol
 --------
@@ -24,10 +24,9 @@ Per outer iteration on active set A:
   (BroadcastAnchor, |A| indices + |A| reals) and collects local gradients
   there (ReportGradient, |A| reals): one at the start, one per conjugate
   gradient step, plus one verification exchange at the final point. Both
-  distributed variants share this step. Beside its coefficients, a worker
-  keeps its shard's normal equations on the last active set and answers
-  anchors from them; these aggregates of its own rows never leave the
-  machine.
+  distributed variants share this step. A worker keeps only its shard's
+  normal equations on the last active set and answers anchors from them;
+  these aggregates of its own rows never leave the machine.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
@@ -36,24 +35,23 @@ Per outer iteration on active set A:
   both messages and uses master-shard curvature and duals instead.
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
-Every dual request carries its iterate, so no fit needs to reset the
-workers' coefficients first. With M=1 there are no messages at all and
-the run is bitwise identical to the single-machine solver.
+Every dual request carries its iterate and workers keep no coefficients,
+so no fit needs to reset them first. With M=1 there are no messages at
+all and the run is bitwise identical to the single-machine solver.
 
 A cluster's options (``fail_worker``, ``log_messages``) are set only where
 it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SolverConfig
-from .data import Dataset, _FileReader
-from .exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
+from .data import Dataset
+from .exceptions import DegenerateColumnError, WorkerUnavailableError
 from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
 from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
                    residual_correlation)
@@ -69,8 +67,6 @@ __all__ = [
     "surrogate_root_find",
     "cesdar_fit",
     "ecesdar_fit",
-    "write_message_log",
-    "read_message_log",
 ]
 
 MASTER_TO_WORKER = "master_to_worker"
@@ -89,8 +85,12 @@ PROTOCOL_SHAPES = {
 }
 MESSAGE_KINDS = tuple(PROTOCOL_SHAPES)
 
+# The reply kind each broadcast asks of every worker.
+_REPLY_KINDS = {"BroadcastAnchor": "ReportGradient", "BroadcastActiveSet": "ReportDual",
+                "BroadcastFinal": None}
+_NO_INDICES = np.empty(0, np.int64)
+
 HEADER_BYTES = 16
-_KIND_TAGS = {kind: i + 1 for i, kind in enumerate(MESSAGE_KINDS)}
 
 # Fixed stopping rule of the inner surrogate solve: absolute tolerance on the
 # dual-scale residual (relative to the current point's largest entry) and a round cap.
@@ -138,25 +138,12 @@ def message_bytes(n_indices: int, n_reals: int) -> int:
     return HEADER_BYTES + 8 * n_indices + 8 * n_reals
 
 
-def _shape_problem(kind: str, n_idx: int, n_reals: int, p: int | None = None,
-                   active_size: int | None = None) -> str | None:
-    """Why ``n_idx`` indices and ``n_reals`` reals are off protocol for ``kind``, or None.
-    Without ``active_size`` (a logged record) an index part sizes the active set."""
-    idx_shape, real_shape = PROTOCOL_SHAPES[kind]
-    if active_size is None and idx_shape == "active":
-        active_size = n_idx
-    for shape, size in ((idx_shape, n_idx), (real_shape, n_reals)):
-        want = 0 if shape == "none" else active_size if shape == "active" else p
-        if (want is not None and size != want) or (p is not None and size > p):
-            return f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
-    return None
-
-
 def _audit_shape(message: WorkerMessage, p: int, active_size: int) -> None:
     """Runtime privacy audit: only aggregate vectors cross machines."""
-    problem = _shape_problem(message.kind, message.n_indices, message.n_reals, p, active_size)
-    if problem:
-        raise ValueError(problem)
+    for shape, size in zip(PROTOCOL_SHAPES[message.kind], (message.n_indices, message.n_reals)):
+        if size != (0 if shape == "none" else active_size if shape == "active" else p) or size > p:
+            raise ValueError(f"{message.kind} with {message.n_indices} indices and "
+                             f"{message.n_reals} reals is off protocol")
 
 
 class LedgerEntry(NamedTuple):
@@ -186,12 +173,6 @@ class CommLedger:
 
     def worker_to_master_bytes(self) -> int:
         return self.total_bytes(WORKER_TO_MASTER)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as out:
-            out.write("iteration,kind,direction,bytes\n")
-            for e in self.entries:
-                out.write(f"{e.iteration},{e.kind},{e.direction},{e.byte_size}\n")
 
 
 @dataclass(frozen=True)
@@ -227,12 +208,10 @@ def partition(data: Dataset, machines: int):
 
 
 class _RemoteWorker:
-    """One simulated worker: owns a shard, reacts to inbound messages.
+    """One simulated worker: owns a shard and answers the message it is handed.
 
-    State is the shard, the current coefficient vector (initialized to zero
-    on both sides of the protocol), the reply to the last message, held until
-    the master collects it, and the shard's normal equations on the last
-    anchored active set: aggregates of its own rows that never leave the
+    Its only state beside the shard is the shard's normal equations on the
+    last anchored active set: aggregates of its own rows that never leave the
     machine and answer each anchor on that set with one |A|x|A| product.
     """
 
@@ -240,35 +219,20 @@ class _RemoteWorker:
         self.worker_id = worker_id
         self.shard = shard
         self.failed = False
-        self._reply = None
-        self._beta = SparseCoefficients.zeros(shard.p)
         self._normal_key = self._normal = None
 
-    def handle(self, message: WorkerMessage) -> None:
+    def answer(self, message: WorkerMessage, iterate: SparseCoefficients | None):
+        """The reply's reals: the gradient at an anchor, the raw dual at
+        ``iterate`` (the decoded BroadcastActiveSet), nothing to BroadcastFinal."""
         if message.kind == "BroadcastAnchor":
             key = message.indices.tobytes()  # the index content, not just |A|
             if key != self._normal_key:
                 self._normal_key, self._normal = key, normal_equations(self.shard, message.indices)
             gram, rhs = self._normal
-            grad = gram @ message.reals - rhs
-            self._reply = WorkerMessage("ReportGradient", np.empty(0, np.int64), grad)
-        elif message.kind in ("BroadcastActiveSet", "BroadcastFinal"):
-            self._beta = SparseCoefficients(self.shard.p, message.indices, message.reals)
-            if message.kind == "BroadcastActiveSet":
-                raw = residual_correlation(self.shard, self._beta)
-                self._reply = WorkerMessage("ReportDual", np.empty(0, np.int64), raw)
-        else:
-            raise ValueError(f"worker received unexpected kind {message.kind!r}")
-
-    def reply(self, kind: str) -> WorkerMessage:
-        """The pending reply, which must be of ``kind``; ReportCurvature
-        answers no request and is computed when the master collects it."""
-        if kind == "ReportCurvature":
-            return WorkerMessage(kind, np.empty(0, np.int64), self.shard.column_curvature())
-        message, self._reply = self._reply, None
-        if message is None or message.kind != kind:
-            raise ValueError(f"worker {self.worker_id} holds no {kind} reply")
-        return message
+            return gram @ message.reals - rhs
+        if message.kind == "BroadcastActiveSet":
+            return residual_correlation(self.shard, iterate)
+        return None
 
 
 class SimulatedCluster:
@@ -293,7 +257,7 @@ class SimulatedCluster:
         self.ledger = CommLedger()
         self.iteration = 0
         self.messages: list[WorkerMessage] | None = [] if log_messages else None
-        self._curvature = self._zero_dual = None
+        self._curvature = self._zero_dual = self._pending = None
 
     @property
     def machines(self) -> int:
@@ -303,23 +267,35 @@ class SimulatedCluster:
     def p(self) -> int:
         return self.data.p
 
-    def _transfer(self, worker: _RemoteWorker, kind: str, active_size: int,
-                  message: WorkerMessage | None = None) -> WorkerMessage:
-        """Move ``message`` to ``worker``, or else the worker's pending ``kind``
-        reply to the master: fail-stop check, audit, ledger row, log entry."""
+    def _transfer(self, worker: _RemoteWorker, direction: str, message) -> WorkerMessage:
+        """Move one message between the master and ``worker``: fail-stop check,
+        ledger row, log entry. A reply comes as the function that builds it
+        from the worker, so a down worker is asked nothing."""
         if worker.failed:
             raise WorkerUnavailableError(f"worker {worker.worker_id} is unavailable (fail-stop)",
                                          worker=worker.worker_id)
-        sent = message is not None
-        message = message if sent else worker.reply(kind)
-        _audit_shape(message, self.p, active_size)
-        self.ledger.record(self.iteration, kind, MASTER_TO_WORKER if sent else WORKER_TO_MASTER,
+        if callable(message):
+            message = message(worker)
+        self.ledger.record(self.iteration, message.kind, direction,
                            message.n_indices, message.n_reals, worker.worker_id)
         if self.messages is not None:
             self.messages.append(message)
-        if sent:
-            worker.handle(message)
         return message
+
+    def _collect(self, kind: str, active_size: int, answer=None) -> list[np.ndarray]:
+        """Every worker's ``kind`` reply reals in worker order, each audited and
+        moved once: ``answer(worker)``, or else the answers of the last
+        broadcast, which must have asked for ``kind``."""
+        if answer is None:
+            if self._pending is None or self._pending[0] != kind:
+                raise ValueError(f"no broadcast asked for a {kind} reply")
+            answer, self._pending = self._pending[1], None
+
+        def reply(worker):
+            message = WorkerMessage(kind, _NO_INDICES, answer(worker))
+            _audit_shape(message, self.p, active_size)
+            return message
+        return [self._transfer(w, WORKER_TO_MASTER, reply).reals for w in self.workers]
 
     def combine(self, master_share: np.ndarray, replies) -> np.ndarray:
         """n_0/N * master_share + sum_m n_m/N * reply_m, added in machine
@@ -330,21 +306,32 @@ class SimulatedCluster:
         return total
 
     def broadcast(self, kind: str, indices: np.ndarray, reals: np.ndarray) -> None:
+        """Audit and decode one message, move it to every worker in order and
+        keep their answers for the collect of its reply kind."""
+        if kind not in _REPLY_KINDS:
+            raise ValueError(f"{kind} is not a broadcast kind")
         message = WorkerMessage(kind, indices, reals)
+        _audit_shape(message, self.p, message.n_indices)
+        iterate = (SparseCoefficients(self.p, message.indices, message.reals)
+                   if kind == "BroadcastActiveSet" else None)
+        answers = {}
         for worker in self.workers:
-            self._transfer(worker, kind, indices.size, message)
+            self._transfer(worker, MASTER_TO_WORKER, message)
+            answers[worker] = worker.answer(message, iterate)
+        self._pending = _REPLY_KINDS[kind], answers.__getitem__
 
     def collect_gradients(self, active: np.ndarray) -> list[np.ndarray]:
         """ReportGradient payloads in worker-index order."""
-        return [self._transfer(w, "ReportGradient", active.size).reals for w in self.workers]
+        return self._collect("ReportGradient", active.size)
 
     def collect_duals(self) -> list[np.ndarray]:
-        return [self._transfer(w, "ReportDual", 0).reals for w in self.workers]
+        return self._collect("ReportDual", 0)
 
     def collect_curvature(self) -> np.ndarray:
-        """Sample-weighted combination of all machine curvatures."""
-        return self.combine(self.master_shard.column_curvature(),
-                            [self._transfer(w, "ReportCurvature", 0).reals for w in self.workers])
+        """Sample-weighted combination of all machine curvatures; each share
+        is computed as it is collected."""
+        shares = self._collect("ReportCurvature", 0, lambda w: w.shard.column_curvature())
+        return self.combine(self.master_shard.column_curvature(), shares)
 
     def curvature(self) -> np.ndarray:
         if self._curvature is None:
@@ -525,54 +512,3 @@ def ecesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, cluster=None) -
     is the same on a fresh or a shared cluster.
     """
     return _distributed_fit(_MasterOnlyEngine, data, machines, cfg, cluster=cluster)
-
-
-def write_message_log(path, messages) -> None:
-    """Binary log: per message a 1-byte kind tag, a 4-byte little-endian
-    payload length, then the payload as 8-byte words (index count, indices
-    as unsigned, reals as doubles). An end record closes it: tag 0, which
-    no kind uses, and an 8-byte payload holding the message count."""
-    with open(path, "wb") as out:
-        for message in messages:
-            payload = struct.pack("<Q", message.n_indices)
-            payload += np.ascontiguousarray(message.indices, dtype="<u8").tobytes()
-            payload += np.ascontiguousarray(message.reals, dtype="<f8").tobytes()
-            out.write(struct.pack("<BI", _KIND_TAGS[message.kind], len(payload)))
-            out.write(payload)
-        out.write(struct.pack("<BIQ", 0, 8, len(messages)))
-
-
-def read_message_log(path) -> list[WorkerMessage]:
-    """Inverse of write_message_log; IngestError on a truncated or corrupt
-    record, a missing or miscounting end record, or bytes after it. Each
-    record is read only once its length fits in what is left of the file."""
-    tags = {tag: kind for kind, tag in _KIND_TAGS.items()}
-    messages = []
-    with open(path, "rb") as handle:
-        reader = _FileReader(path, handle)
-        while reader.off < reader.size:
-            start = reader.off
-            tag, length = struct.unpack("<BI", reader.read(5))
-            payload = reader.read(length)
-            n_idx = struct.unpack_from("<Q", payload)[0] if length >= 8 else 0
-            n_reals = (length - 8) // 8 - n_idx
-            if tag == 0 and length == 8:  # the end record
-                if n_idx != len(messages) or reader.off < reader.size:
-                    raise IngestError(f"{path}: end record at byte {start} counts {n_idx} "
-                                      f"messages of {len(messages)}, then "
-                                      f"{reader.size - reader.off} bytes follow")
-                return messages
-            kind = tags.get(tag)
-            if kind is None:
-                problem = f"unknown kind tag {tag}"
-            elif length < 8 or length % 8 or n_reals < 0:
-                problem = f"a {length}-byte payload cannot hold a count and {n_idx} indices"
-            else:
-                problem = _shape_problem(kind, n_idx, n_reals)
-            if problem:
-                raise IngestError(f"{path}: record {len(messages)} at byte {start}: {problem}")
-            words = payload[8:].view("<u8")  # 8-aligned: the count, then whole words
-            messages.append(WorkerMessage(kind, words[:n_idx].astype(np.int64),
-                                          words[n_idx:].view("<f8")))
-    raise IngestError(f"{path}: the log ends after {len(messages)} messages, without an end record")
-

@@ -584,6 +584,8 @@ def load_cache(path) -> Dataset:
         y_mean = y_scale = None
         if reader.read(1)[0] == 1:
             y_mean, y_scale = struct.unpack("<dd", reader.read(16))
+        if reader.off < reader.size:
+            raise IngestError(f"{path}: {reader.size - reader.off} bytes after the cache's end")
     return Dataset(x, y, names, standardized=standardized,
                    column_means=means, column_scales=scales,
                    y_mean=y_mean, y_scale=y_scale)

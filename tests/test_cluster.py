@@ -1,9 +1,8 @@
-import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cesdar.cluster as cluster_module
 from cesdar.cluster import (
@@ -18,13 +17,11 @@ from cesdar.cluster import (
     ecesdar_fit,
     message_bytes,
     partition,
-    read_message_log,
     surrogate_root_find,
-    write_message_log,
 )
 from cesdar.config import SolverConfig
 from cesdar.data import Dataset, SparseCoefficients, SyntheticSpec, generate
-from cesdar.exceptions import DegenerateColumnError, IngestError, WorkerUnavailableError
+from cesdar.exceptions import DegenerateColumnError, WorkerUnavailableError
 from cesdar.linalg import spd_solve
 from cesdar.sdar import esdar_fit, kkt_residual, residual_correlation, root_find_local
 
@@ -315,16 +312,6 @@ def test_ledger_byte_sizes_recomputable():
     assert result.ledger.total_bytes() == sum(e.byte_size for e in result.ledger.entries)
 
 
-def test_ledger_csv_export(tmp_path):
-    data, _ = generate(SyntheticSpec(n=100, p=10, s=2, seed=12))
-    result = cesdar_fit(data, 2, SolverConfig(sparsity=2))
-    out = tmp_path / "ledger.csv"
-    result.ledger.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "iteration,kind,direction,bytes"
-    assert len(lines) == 1 + len(result.ledger.entries)
-
-
 def test_communication_asymmetry():
     # Low-communication variant: per-iteration worker reports of O(T) reals
     # versus O(p), and strictly fewer worker-to-master bytes in total.
@@ -378,34 +365,38 @@ def test_runtime_privacy_audit(fitter):
 
 def test_audit_rejects_off_protocol_payload():
     from cesdar.cluster import _audit_shape
-    message = WorkerMessage("ReportGradient", np.empty(0, np.int64), np.ones(17))
-    with pytest.raises(ValueError):
-        _audit_shape(message, p=30, active_size=4)
-    oversized = WorkerMessage("ReportDual", np.empty(0, np.int64), np.ones(40))
-    with pytest.raises(ValueError):
-        _audit_shape(oversized, p=30, active_size=4)
+    for kind, n_idx, n_reals, active_size in [
+        ("ReportGradient", 0, 17, 4),
+        ("ReportDual", 0, 40, 4),
+        ("ReportCurvature", 3, 27, 3),
+        ("BroadcastAnchor", 3, 5, 3),
+        ("ReportGradient", 2, 4, 2),
+        ("BroadcastFinal", 0, 1, 0),
+    ]:
+        message = WorkerMessage(kind, np.arange(n_idx), np.ones(n_reals))
+        with pytest.raises(ValueError) as audit:
+            _audit_shape(message, p=30, active_size=active_size)
+        text = f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
+        assert str(audit.value) == text
 
 
-@pytest.mark.parametrize("kind,n_idx,n_reals", [
-    ("ReportCurvature", 3, 27),
-    ("BroadcastAnchor", 3, 5),
-    ("ReportGradient", 2, 4),
-    ("BroadcastFinal", 0, 1),
-])
-def test_off_protocol_text_is_shared_by_audit_and_log(tmp_path, kind, n_idx, n_reals):
-    # One shape rule: the live audit and the log reader reject the same
-    # header with the same text.
-    from cesdar.cluster import _audit_shape
-    message = WorkerMessage(kind, np.arange(n_idx), np.ones(n_reals))
-    text = f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
-    with pytest.raises(ValueError) as audit:
-        _audit_shape(message, p=30, active_size=n_idx)
-    assert str(audit.value) == text
-    path = tmp_path / "messages.bin"
-    write_message_log(path, [message])
-    with pytest.raises(IngestError) as logged:
-        read_message_log(path)
-    assert str(logged.value) == f"{path}: record 0 at byte 0: {text}"
+def test_collect_without_its_broadcast_is_error():
+    # A collect takes the answers of the last broadcast, once, and only of
+    # the reply kind that broadcast asked for; a report is never broadcast.
+    data, _ = generate(SyntheticSpec(n=100, p=10, s=2, seed=15))
+    active = np.array([1, 4])
+    cluster = SimulatedCluster(data, 3)
+    with pytest.raises(ValueError, match="ReportDual is not a broadcast kind"):
+        cluster.broadcast("ReportDual", np.empty(0, np.int64), np.ones(10))
+    assert cluster.ledger.entries == []
+    with pytest.raises(ValueError, match="no broadcast asked for a ReportDual reply"):
+        cluster.collect_duals()
+    cluster.broadcast("BroadcastAnchor", active, np.ones(2))
+    with pytest.raises(ValueError, match="no broadcast asked for a ReportDual reply"):
+        cluster.collect_duals()
+    assert len(cluster.collect_gradients(active)) == 2
+    with pytest.raises(ValueError, match="no broadcast asked for a ReportGradient reply"):
+        cluster.collect_gradients(active)
 
 
 # --- failure and logging ------------------------------------------------------
@@ -467,132 +458,6 @@ def test_master_shard_rank_deficient_gram():
         assert result.jittered and result.converged
         assert type(result.jittered) is bool
         assert np.all(np.isfinite(result.beta.values))
-
-
-@pytest.mark.parametrize("cut", ["inside_header", "after_header", "mid_message"])
-def test_truncated_message_log_is_ingest_error(tmp_path, cut):
-    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    result = cesdar_fit(data, 3, SolverConfig(sparsity=2),
-                        cluster=SimulatedCluster(data, 3, log_messages=True))
-    path = tmp_path / "messages.bin"
-    write_message_log(path, result.messages)
-    blob = path.read_bytes()
-    last_message = _record_offsets(blob)[-2]  # the last record is the end record
-    size = {"inside_header": 3, "after_header": 5, "mid_message": last_message + 32}[cut]
-    path.write_bytes(blob[:size])
-    with pytest.raises(IngestError, match=rf"messages\.bin: truncated .* found {size}$"):
-        read_message_log(path)
-
-
-def _record_offsets(blob):
-    """Byte offset of every record in a message log."""
-    offsets, off = [], 0
-    while off < len(blob):
-        offsets.append(off)
-        off += 5 + struct.unpack_from("<I", blob, off + 1)[0]
-    return offsets
-
-
-def _small_fit_messages(machines=3):
-    """The logged messages of a small CESDAR fit."""
-    data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
-    return cesdar_fit(data, machines, SolverConfig(sparsity=2),
-                      cluster=SimulatedCluster(data, machines, log_messages=True)).messages
-
-
-def _write_small_log(tmp_path, machines=3):
-    """Message log of a small CESDAR fit; returns its path and messages."""
-    messages = _small_fit_messages(machines)
-    path = tmp_path / "messages.bin"
-    write_message_log(path, messages)
-    return path, messages
-
-
-def test_message_log_cut_at_any_record_boundary_is_ingest_error(tmp_path):
-    path, messages = _write_small_log(tmp_path)
-    blob = path.read_bytes()
-    offsets = _record_offsets(blob)
-    assert len(offsets) == len(messages) + 1
-    for size in offsets:
-        path.write_bytes(blob[:size])
-        with pytest.raises(IngestError, match=rf"ends after {offsets.index(size)} messages"):
-            read_message_log(path)
-
-
-@pytest.mark.parametrize("miscount,extra", [(1, 0), (0, 1)],
-                         ids=["wrong_count", "bytes_after_end"])
-def test_message_log_end_record_is_checked(tmp_path, miscount, extra):
-    # The end record counts count - miscount messages, then extra bytes follow.
-    path, messages = _write_small_log(tmp_path)
-    count = len(messages)
-    assert count > 1
-    blob = path.read_bytes()[:-8] + struct.pack("<Q", count - miscount) + b"\0" * extra
-    path.write_bytes(blob)
-    problem = f"counts {count - miscount} messages of {count}, then {extra} bytes"
-    with pytest.raises(IngestError, match=rf"messages\.bin: end record at byte \d+ {problem}"):
-        read_message_log(path)
-
-
-# Each case overwrites one header field of the first record of a kind:
-# the 1-byte tag at +0, the 4-byte length at +1 or the index count at +5.
-@pytest.mark.parametrize("kind,fmt,field,value,problem", [
-    ("ReportCurvature", "<B", 0, 99, "unknown kind tag 99"),
-    ("ReportCurvature", "<I", 1, 4, "a 4-byte payload cannot hold"),
-    ("ReportCurvature", "<Q", 5, 10**6,
-     "a 248-byte payload cannot hold a count and 1000000 indices"),
-    ("ReportCurvature", "<Q", 5, 3, "ReportCurvature with 3 indices and 27 reals is off protocol"),
-    ("BroadcastAnchor", "<Q", 5, 3, "BroadcastAnchor with 3 indices and 5 reals is off protocol"),
-], ids=["kind_tag", "short_length", "index_overrun", "indices_on_report", "anchor_mismatch"])
-def test_corrupt_message_log_is_ingest_error(tmp_path, kind, fmt, field, value, problem):
-    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=0))
-    result = cesdar_fit(data, 4, SolverConfig(sparsity=4),
-                        cluster=SimulatedCluster(data, 4, log_messages=True))
-    path = tmp_path / "messages.bin"
-    write_message_log(path, result.messages)
-    blob = bytearray(path.read_bytes())
-    number = next(i for i, m in enumerate(result.messages) if m.kind == kind)
-    at = _record_offsets(blob)[number]
-    struct.pack_into(fmt, blob, at + field, value)
-    path.write_bytes(bytes(blob))
-    where = rf"messages\.bin: record {number} at byte {at}: "
-    with pytest.raises(IngestError, match=where + problem):
-        read_message_log(path)
-
-
-@st.composite
-def protocol_messages(draw):
-    """A list of messages of protocol shape in one dimension p: per message
-    a kind and an active-set size, sorted distinct indices and finite reals."""
-    p = draw(st.integers(1, 20))
-    messages = []
-    for kind in draw(st.lists(st.sampled_from(MESSAGE_KINDS), max_size=8)):
-        size = draw(st.integers(0, p))
-        counts = {"none": 0, "active": size, "p": p}
-        idx_shape, real_shape = PROTOCOL_SHAPES[kind]
-        indices = draw(st.lists(st.integers(0, p - 1), min_size=counts[idx_shape],
-                                max_size=counts[idx_shape], unique=True))
-        reals = draw(st.lists(st.floats(allow_nan=False), min_size=counts[real_shape],
-                              max_size=counts[real_shape]))
-        messages.append(WorkerMessage(kind, sorted(indices), reals))
-    return messages
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(messages=protocol_messages())
-@example(messages=[])
-@example(messages=_small_fit_messages())
-def test_message_log_round_trip(tmp_path, messages):
-    path = tmp_path / "messages.bin"
-    write_message_log(path, messages)
-    assert read_message_log(path) == messages
-    words = sum(m.n_indices + m.n_reals for m in messages)
-    assert path.stat().st_size == 13 * len(messages) + 8 * words + 13
-
-
-def test_empty_message_log_round_trips(tmp_path):
-    path, messages = _write_small_log(tmp_path, machines=1)
-    assert messages == [] and read_message_log(path) == []
 
 
 def test_worker_message_equality_compares_content():

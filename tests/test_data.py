@@ -447,6 +447,20 @@ def test_cache_cut_at_every_byte_after_y_is_truncated(tmp_path):
             load_cache(path)
 
 
+@pytest.mark.parametrize("extra", [1, 21])
+@pytest.mark.parametrize("standardized", [False, True], ids=["plain", "standardized"])
+def test_cache_with_trailing_bytes_is_ingest_error(tmp_path, standardized, extra):
+    # A concatenated or half-overwritten cache must not load as its first part.
+    x = np.random.default_rng(5).standard_normal((4, 2))
+    scaling = dict(standardized=True, column_means=np.zeros(2), column_scales=np.ones(2),
+                   y_mean=0.5, y_scale=2.0) if standardized else {}
+    path = tmp_path / "tail.bin"
+    save_cache(path, Dataset(x, x[:, 0], **scaling))
+    path.write_bytes(path.read_bytes() + b"\x01" * extra)
+    with pytest.raises(IngestError, match=rf"tail\.bin: {extra} bytes after the cache's end$"):
+        load_cache(path)
+
+
 def test_cache_cut_while_read_is_ingest_error(tmp_path, monkeypatch):
     # load_cache checks sections against the size the file had when it was
     # opened; a file cut after that must not leave X partly uninitialised,

@@ -5,10 +5,11 @@ import importlib.util
 from pathlib import Path
 
 import cesdar
-import cesdar.cluster  # noqa: F401 (the tracer reads the modules off the package)
-import cesdar.data  # noqa: F401
-import cesdar.sdar  # noqa: F401
-import cesdar.tuning  # noqa: F401
+import cesdar.cluster  # the tracer reads the modules off the package
+import cesdar.config
+import cesdar.data
+import cesdar.sdar
+import cesdar.tuning
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,3 +33,27 @@ def test_span_recorder_wraps_and_restores_every_attribute():
     assert ("SimulatedCluster", "collect_gradients") in wrapped
     assert ("cesdar.cluster", "gram_submatrix") in wrapped
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_traced_fits_reconcile_with_their_ledgers():
+    # The tracer's counts (ledger rows seen through CommLedger.record, anchor
+    # rounds from each broadcast to its collect, surrogate rounds from
+    # spd_solve calls) must equal what the fits report themselves.
+    spans = _load_spans()
+    data, _ = cesdar.data.generate(cesdar.data.SyntheticSpec(n=400, p=600, s=8, seed=4))
+    cfg = cesdar.config.SolverConfig(sparsity=8)
+    recorder = spans.SpanRecorder()
+    recorder.install(cesdar)
+    try:
+        with recorder.span("bench.solve"):
+            cesdar.sdar.esdar_fit(data, cfg)
+            cesdar.cluster.cesdar_fit(data, 4, cfg)
+            cesdar.cluster.ecesdar_fit(data, 4, cfg)
+            cesdar.tuning.acesdar_fit(
+                data, cesdar.config.TuningConfig(step=2, machines=4, j_override=8))
+    finally:
+        recorder.uninstall()
+    summary = spans.summarize(recorder)
+    assert len(summary["fits"]) >= 3 + 4
+    assert summary["bytes_m2w"] > 0 and summary["bytes_w2m"] > 0
+    assert spans.reconcile(summary) == []

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cesdar.cluster import (SimulatedCluster, cesdar_fit, ecesdar_fit, read_message_log,
-                            write_message_log)
+from cesdar.cluster import SimulatedCluster, cesdar_fit, ecesdar_fit
 from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
 from cesdar.exceptions import ConfigurationError
@@ -235,7 +234,7 @@ def test_cluster_keyword_guards(case, problem):
         _cluster_misuse(case)
 
 
-def test_shared_cluster_keeps_each_fits_own_log(tmp_path):
+def test_shared_cluster_keeps_each_fits_own_log():
     # Two fits on one logging cluster: each result holds only its own
     # traffic, the second less the set-up the first already exchanged.
     data, _ = generate(SyntheticSpec(n=120, p=12, s=2, seed=16))
@@ -248,9 +247,6 @@ def test_shared_cluster_keeps_each_fits_own_log(tmp_path):
         assert fit.ledger.entries == kept
         own = [m for m, e in zip(fresh.messages, fresh.ledger.entries) if e in kept]
         assert fit.messages == own
-        path = tmp_path / f"fit{i}.bin"
-        write_message_log(path, fit.messages)
-        assert read_message_log(path) == fit.messages
 
 
 def test_ecesdar_on_shared_cluster_equals_fresh():

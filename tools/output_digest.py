@@ -2,9 +2,10 @@
 
 It imports ``cesdar`` from the ``src/`` beside it, so a copy run in another
 checkout digests that one. Hashed: ESDAR, CESDAR and ECESDAR fits (beta, d,
-g, active sets, iterations, flags, inner rounds, ledger rows, message-log
-bytes) at M = 1, 2, 4, 8 on a tall, a wide (column-cached) and a jittered
-shape; ACESDAR paths at steps 1 and 2; the trial CSVs of a small ``bench``;
+g, active sets, iterations, flags, inner rounds, ledger rows, and each logged
+message's kind, dtypes and array bytes) at M = 1, 2, 4, 8 on a tall, a wide
+(column-cached) and a jittered shape, and at M = 32 and 128 on a 4000x100
+one; ACESDAR paths at steps 1 and 2; the trial CSVs of a small ``bench``;
 the CSDR1 cache bytes of a standardized, a plain and a generated dataset,
 and what ``load_cache`` reads back from them.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
@@ -21,27 +22,28 @@ import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from cesdar.cli import main  # noqa: E402
-from cesdar.cluster import (SimulatedCluster, cesdar_fit, ecesdar_fit,  # noqa: E402
-                           write_message_log)
+from cesdar.cluster import SimulatedCluster, cesdar_fit, ecesdar_fit  # noqa: E402
 from cesdar.config import SolverConfig, TuningConfig  # noqa: E402
 from cesdar.data import (Dataset, SyntheticSpec, generate, load_cache,  # noqa: E402
                          save_cache)
 from cesdar.sdar import esdar_fit  # noqa: E402
 from cesdar.tuning import acesdar_fit, write_path_csv  # noqa: E402
 
-# (n, p, s, T, seed); the last one jitters the master-shard Gram at M=8.
-SHAPES = [(400, 50, 5, 5, 1), (240, 600, 6, 10, 2), (60, 40, 5, 12, 7)]
+# (n, p, s, T, seed) and machine counts; the third shape jitters the
+# master-shard Gram at M=8. ESDAR runs where M=1 does.
+SHAPES = [((400, 50, 5, 5, 1), (1, 2, 4, 8)), ((240, 600, 6, 10, 2), (1, 2, 4, 8)),
+          ((60, 40, 5, 12, 7), (1, 2, 4, 8)), ((4000, 100, 10, 10, 3), (32, 128))]
 LEDGER_FIELDS = ("iteration", "kind", "direction", "byte_size", "n_indices", "n_reals", "worker")
 
 
-def fit_record(fit, scratch: Path) -> str:
+def fit_record(fit) -> str:
     arrays = (fit.beta.support, fit.beta.values, fit.d, fit.g, *fit.active_history)
     rows = [tuple(getattr(e, f) for f in LEDGER_FIELDS) for e in fit.ledger.entries] \
         if fit.ledger is not None else None
     log = None
     if fit.messages is not None:
-        write_message_log(scratch / "messages.bin", fit.messages)
-        log = (scratch / "messages.bin").read_bytes()
+        log = [(m.kind, m.indices.dtype.str, m.indices.tobytes(), m.reals.dtype.str,
+                m.reals.tobytes()) for m in fit.messages]
     return repr(([(a.dtype.str, a.shape, a.tobytes()) for a in arrays], fit.iterations,
                  fit.converged, fit.jittered, fit.cycled, fit.rel_loss, fit.inner_rounds,
                  rows, log))
@@ -67,15 +69,16 @@ def digests(scratch: Path) -> dict:
         back = load_cache(scratch / "data.bin")
         out["cache"].update((scratch / "data.bin").read_bytes())
         out["cache"].update(repr(back.feature_names).encode() + back.x.tobytes() + back.y.tobytes())
-    for n, p, s, sparsity, seed in SHAPES:
+    for (n, p, s, sparsity, seed), machine_counts in SHAPES:
         data, _ = generate(SyntheticSpec(n=n, p=p, s=s, seed=seed))
         cfg = SolverConfig(sparsity=sparsity)
-        out["esdar"].update(fit_record(esdar_fit(data, cfg), scratch).encode())
-        for machines in (1, 2, 4, 8):
+        if 1 in machine_counts:
+            out["esdar"].update(fit_record(esdar_fit(data, cfg)).encode())
+        for machines in machine_counts:
             for kind, fitter in (("cesdar", cesdar_fit), ("ecesdar", ecesdar_fit)):
                 cluster = SimulatedCluster(data, machines, log_messages=True)
                 fit = fitter(data, machines, cfg, cluster=cluster)
-                out[kind].update(fit_record(fit, scratch).encode())
+                out[kind].update(fit_record(fit).encode())
     data, _ = generate(SyntheticSpec(n=1000, p=600, s=8, seed=5))
     for step in (1, 2):
         best, path = acesdar_fit(data, TuningConfig(step=step, machines=4))
@@ -84,7 +87,7 @@ def digests(scratch: Path) -> dict:
         out["acesdar"].update(repr(best.sparsity).encode())
         for point in path:
             out["acesdar"].update(repr((point.sparsity, point.hbic, point.loss)).encode())
-            out["acesdar"].update(fit_record(point.fit, scratch).encode())
+            out["acesdar"].update(fit_record(point.fit).encode())
     bench = scratch / "bench"
     result = CliRunner().invoke(main, [
         "bench", "--example", "2", "--scale", "0.06", "--replicates", "2", "--seed", "3",
