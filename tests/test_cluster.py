@@ -365,19 +365,26 @@ def test_runtime_privacy_audit(fitter):
 
 def test_audit_rejects_off_protocol_payload():
     from cesdar.cluster import _audit_shape
-    for kind, n_idx, n_reals, active_size in [
-        ("ReportGradient", 0, 17, 4),
-        ("ReportDual", 0, 40, 4),
-        ("ReportCurvature", 3, 27, 3),
-        ("BroadcastAnchor", 3, 5, 3),
-        ("ReportGradient", 2, 4, 2),
-        ("BroadcastFinal", 0, 1, 0),
-    ]:
-        message = WorkerMessage(kind, np.arange(n_idx), np.ones(n_reals))
+    for kind, n_reals in [("ReportGradient", 17), ("ReportDual", 40)]:
+        message = WorkerMessage(kind, np.empty(0, np.int64), np.ones(n_reals))
         with pytest.raises(ValueError) as audit:
-            _audit_shape(message, p=30, active_size=active_size)
-        text = f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
-        assert str(audit.value) == text
+            _audit_shape(message, p=30, active_size=4)
+        assert str(audit.value) == f"{kind} with 0 indices and {n_reals} reals is off protocol"
+
+
+@pytest.mark.parametrize("kind,n_idx,n_reals", [
+    ("ReportCurvature", 3, 27),
+    ("BroadcastAnchor", 3, 5),
+    ("ReportGradient", 2, 4),
+    ("BroadcastFinal", 0, 1),
+])
+def test_off_protocol_text_is_shared_by_audit_and_log(kind, n_idx, n_reals):
+    # The live audit names an off-protocol header in the one shape rule's text.
+    from cesdar.cluster import _audit_shape
+    message = WorkerMessage(kind, np.arange(n_idx), np.ones(n_reals))
+    with pytest.raises(ValueError) as audit:
+        _audit_shape(message, p=30, active_size=n_idx)
+    assert str(audit.value) == f"{kind} with {n_idx} indices and {n_reals} reals is off protocol"
 
 
 def test_collect_without_its_broadcast_is_error():
