@@ -108,7 +108,8 @@ def _model_options(command):
         click.option("--data", "data_path", required=True, help="CSV file or dataset cache."),
         click.option("--response", default=None, help="Response column (CSV input)."),
         click.option("--categorical", multiple=True, help="Categorical column (repeatable)."),
-        click.option("--noise-features", default=0, show_default=True),
+        click.option("--noise-features", type=click.IntRange(min=0), default=0,
+                     show_default=True),
         click.option("--standardize/--no-standardize", default=True, show_default=True),
         click.option("--machines", default=1, show_default=True),
         click.option("--tau", default=0.5, show_default=True),
@@ -263,7 +264,7 @@ def cmd_gen(n, p, s, signal_ratio, noise_sd, seed, out_path):
 @click.option("--data", "data_path", required=True, help="CSV input.")
 @click.option("--response", required=True)
 @click.option("--categorical", multiple=True)
-@click.option("--noise-features", default=0, show_default=True)
+@click.option("--noise-features", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--noise-seed", **_SEED)
 @click.option("--standardize/--no-standardize", default=True, show_default=True)
 @click.option("--keep-all-levels", is_flag=True, default=False,

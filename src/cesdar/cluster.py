@@ -36,8 +36,9 @@ Per outer iteration on active set A:
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate and workers keep no coefficients,
-so no fit needs to reset them first. With M=1 there are no messages at
-all and the run is bitwise identical to the single-machine solver.
+so no fit needs to reset them first. With M=1 the master holds the dataset
+itself and no message moves or surrogate round runs; ESDAR is the
+low-communication fit on such a cluster, so both fits at M=1 are ESDAR.
 
 A cluster's options (``fail_worker``, ``log_messages``) are set only where
 it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .data import Dataset
-from .exceptions import DegenerateColumnError, WorkerUnavailableError
+from .exceptions import WorkerUnavailableError
 from .linalg import gram_submatrix, spd_solve  # noqa: F401 (traced here by the benchmark)
 from .sdar import (FitResult, SparseCoefficients, _sdar_loop, normal_equations,
                    residual_correlation)
@@ -197,13 +198,14 @@ def partition(data: Dataset, machines: int):
     """Split rows into M contiguous blocks in order.
 
     The first M-1 machines receive floor(N/M) rows each; the last machine
-    absorbs the remainder. M=1 places the full dataset on the master.
+    absorbs the remainder. M=1 gives the master the dataset itself, so it
+    keeps the dataset's curvature and column caches.
     """
     _check_machines(data.n, machines)
     base = data.n // machines
     assignments = tuple((m * base, base if m < machines - 1 else data.n - m * base)
                         for m in range(machines))
-    shards = [data.row_slice(s, s + c) for s, c in assignments]
+    shards = [data] if machines == 1 else [data.row_slice(s, s + c) for s, c in assignments]
     return Partition(machines, assignments), shards
 
 
@@ -372,7 +374,8 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
 
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
     and still preconditions G, so the solve converges to the full-sample
-    least squares, flagged ``jittered`` (so is the fit).
+    least squares, flagged ``jittered`` (so is the fit). With no remote
+    worker (M=1) it returns the master's least squares after 0 rounds.
 
     Returns (coefficients, jittered, rounds, converged).
     """
@@ -382,6 +385,8 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         return SparseCoefficients.zeros(p), False, 0, True
     gram, rhs = normal_equations(cluster.master_shard, active)
     point, jittered = spd_solve(gram, rhs, active_set=active)
+    if not cluster.workers:
+        return SparseCoefficients(p, active, point), jittered, 0, True
 
     def gradient(at: np.ndarray) -> np.ndarray:
         """One exchange: the full-sample gradient on ``active`` at ``at``."""
@@ -454,14 +459,7 @@ class _MasterOnlyEngine(_ClusterEngine):
     """
 
     def curvature(self) -> np.ndarray:
-        shard = self.cluster.master_shard
-        g = shard.column_curvature()
-        dead = np.flatnonzero(g == 0.0)
-        if dead.size:
-            name = shard.feature_names[dead[0]]
-            raise DegenerateColumnError(f"column {dead[0]} ({name!r}) is all zero on machine 0, "
-                                        "the master shard", column=name)
-        return g
+        return self.cluster.master_shard.checked_curvature(" on machine 0, the master shard")
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         return residual_correlation(self.cluster.master_shard, beta)
@@ -492,9 +490,9 @@ def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, warm=None,
                cluster=None) -> FitResult:
     """Distributed fit with sample-weighted averaged curvature and duals.
 
-    With machines=1 the output is bitwise identical to the single-machine
-    solver: the loop, the detection keys, and the restricted solves all run
-    through the same code on the same arrays.
+    With machines=1 the output is bitwise identical to ESDAR: the combined
+    curvature and duals are the master's, which holds every row, and the
+    restricted solves are the same least squares with no surrogate round.
 
     ``warm`` is an optional (coefficients, dual) pair seeding the first
     detection. ``cluster`` runs the fit on a ``SimulatedCluster`` built on

@@ -80,18 +80,26 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {self._ALGOS}"
             )
-        for key in ("p", "n_test", "replicates"):
+        for key in ("n_test", "replicates"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not 0 <= self.s <= self.p:
-            raise ConfigurationError(f"s={self.s} must lie in [0, p={self.p}]")
-        if self.noise_sd < 0:
-            raise ConfigurationError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        self.spec(self.base_seed)  # n, p, s, signal_ratio and noise_sd
+        if not 1 <= self.s <= self.p - 1:
+            raise ConfigurationError(f"s={self.s} must lie in [1, p-1={self.p - 1}]: both "
+                                     "discovery rates need a true and a null coordinate")
         if self.machines < 1 or self.machines > self.n:
             raise ConfigurationError(f"machines must lie in [1, n], got {self.machines}")
+        if self.algorithm != "acesdar" and self.sparsity > self.p:
+            raise ConfigurationError(f"sparsity {self.sparsity} exceeds p={self.p}")
         # sparsity, tau, max_iter and step: checked here, not once per trial
         self.solver_config()
         self.tuning_config()
+
+    def spec(self, seed: int):
+        """The ``SyntheticSpec`` of this cell's replicate drawn from ``seed``."""
+        from .data import SyntheticSpec  # data imports this module
+        return SyntheticSpec(n=self.n, p=self.p, s=self.s, signal_ratio=self.signal_ratio,
+                             noise_sd=self.noise_sd, seed=seed)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(sparsity=self.sparsity, tau=self.tau, max_iter=self.max_iter)

@@ -62,12 +62,13 @@ def stream_rng(seed: int, kind: str) -> np.random.Generator:
 class Dataset:
     """Dense design matrix X (n x p) with response y and column names.
 
-    Rejects zero rows, non-finite entries and zero-curvature columns at
-    construction in one pass over X, scanning X entrywise only when a
-    curvature is not finite, so the solvers never re-validate; shards too
-    reject scaling metadata the cache cannot store. ``column_curvature``
-    (squared column norms over n) is cached, as are the columns ``columns``
-    has gathered; neither depends on an iterate, and X is never mutated.
+    Rejects zero rows, non-finite entries and columns whose curvature is
+    zero or overflows at construction in one pass over X, scanning X
+    entrywise only when a curvature is not finite, so the solvers never
+    re-validate; shards too reject scaling metadata the cache cannot
+    store. ``column_curvature`` (squared column norms over n) is cached, as
+    are the columns ``columns`` has gathered; neither depends on an
+    iterate, and X is never mutated.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -107,13 +108,7 @@ class Dataset:
             raise ValueError("design matrix contains non-finite entries")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("response contains non-finite entries")
-        # A column whose squared norm over n underflows would give d = inf.
-        dead = np.flatnonzero(curvature == 0.0)
-        if dead.size:
-            name = self.feature_names[dead[0]]
-            raise DegenerateColumnError(
-                f"column {dead[0]} ({name!r}) has zero curvature", column=name
-            )
+        self.checked_curvature()
 
     @property
     def n(self) -> int:
@@ -128,6 +123,21 @@ class Dataset:
         if self._curvature is None:
             self._curvature = np.einsum("ij,ij->j", self.x, self.x) / self.n
         return self._curvature
+
+    def checked_curvature(self, where: str = "") -> np.ndarray:
+        """``column_curvature`` of an X with finite entries, or
+        DegenerateColumnError naming the first column whose curvature is
+        not finite and positive: a zero one (all zero, or its squared norm
+        over n underflows) would give d = inf, an overflowing one NaN
+        detection keys. ``where`` ends the message."""
+        curvature = self.column_curvature()
+        bad = np.flatnonzero(~((curvature > 0.0) & (curvature < np.inf)))
+        if bad.size:
+            j, name = bad[0], self.feature_names[bad[0]]
+            state = "zero" if curvature[j] == 0.0 else "infinite"
+            raise DegenerateColumnError(f"column {j} ({name!r}) has {state} curvature{where}",
+                                        column=name)
+        return curvature
 
     def columns(self, cols) -> np.ndarray:
         """``x[:, cols]`` for integer indices ``cols``: the same values in the
@@ -188,12 +198,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.s > self.p or self.s < 0:
-            raise ConfigurationError(f"need 0 <= s <= p, got s={self.s}, p={self.p}")
         if self.n < 1 or self.p < 1:
             raise ConfigurationError("n and p must be positive")
-        if self.noise_sd < 0:
-            raise ConfigurationError("noise_sd must be non-negative")
+        if not 0 <= self.s <= self.p:
+            raise ConfigurationError(f"s={self.s} must lie in [0, p={self.p}]")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ConfigurationError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        if not 1 <= self.signal_ratio < math.inf:  # below 1 the cap sits under the floor
+            raise ConfigurationError(f"signal_ratio must be finite and >= 1, "
+                                     f"got {self.signal_ratio}")
 
     @property
     def signal_floor(self) -> float:
@@ -335,7 +348,7 @@ def example_config(example: int, scale: float = 1.0, replicates: int = 100,
         raise ConfigurationError(f"scale must lie in (0, 1], got {scale}")
     if scale != 1.0:
         base["n"] = max(int(base["n"] * scale), base["machines"])
-        base["p"] = max(int(base["p"] * scale), base["s"], base["sparsity"])
+        base["p"] = max(int(base["p"] * scale), base["s"] + 1, base["sparsity"])
 
     return ExperimentConfig(
         algorithm=algorithm, tau=0.5, signal_ratio=20.0, noise_sd=1.0,
@@ -383,8 +396,9 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     mean zero and scaled to unit variance, and so is the response.
 
     Unparseable numeric cells raise with the 1-based data row number; a
-    repeated header name, a categorical response or a name shared by two
-    columns of X (say ``c=v`` beside categorical ``c``) raise IngestError.
+    repeated header name, a categorical response, a name shared by two
+    columns of X (say ``c=v`` beside categorical ``c``) or an X with no
+    column raise IngestError.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -446,6 +460,8 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
             blocks.append(noise[:, j])
             names.append(f"noise{j + 1}")
     _check_unique(path, names, "two columns of X would be named")
+    if not blocks:
+        raise IngestError(f"{path}: no feature columns")
 
     x = np.column_stack(blocks)
     y = parse(response_column)

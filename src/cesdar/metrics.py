@@ -20,7 +20,7 @@ import numpy as np
 
 from .cluster import CommLedger, cesdar_fit, ecesdar_fit
 from .config import ExperimentConfig
-from .data import Dataset, SparseCoefficients, SyntheticSpec, generate, generate_test
+from .data import Dataset, SparseCoefficients, generate, generate_test
 from .sdar import esdar_fit, root_find_local
 from .tuning import acesdar_fit
 
@@ -171,9 +171,7 @@ def refold(algorithm: str, machines: int, replicates: int, trials) -> MetricsSum
 
 def _run_one_trial(config: ExperimentConfig, replicate: int) -> TrialResult:
     seed = config.base_seed + replicate
-    spec = SyntheticSpec(n=config.n, p=config.p, s=config.s,
-                         signal_ratio=config.signal_ratio, noise_sd=config.noise_sd,
-                         seed=seed)
+    spec = config.spec(seed)
     train, truth = generate(spec)
     test = generate_test(spec, truth, config.n_test)
 

@@ -1,4 +1,4 @@
-"""Single-machine support detection and root finding (the M=1 baseline).
+"""Support detection and root finding: the outer loop every solver runs.
 
 The solver alternates two moves until the active set stops changing:
 
@@ -8,9 +8,9 @@ The solver alternates two moves until the active set stops changing:
 2. solve the unpenalized least-squares problem restricted to that set,
    then refresh the dual step d at the new iterate.
 
-The same outer loop drives the distributed variants through an "engine"
-object that supplies curvature, dual steps, and the restricted solve, which
-is what makes the M=1 reduction exact down to the bit level.
+The loop runs on a cluster "engine" (``cluster.py``) that supplies curvature,
+dual steps and the restricted solve. ESDAR, the single-machine method, is the
+low-communication fit on a one-machine cluster, so M=1 runs are ESDAR.
 """
 from __future__ import annotations
 
@@ -124,27 +124,6 @@ def residual_correlation(data: Dataset, beta: SparseCoefficients) -> np.ndarray:
     return data.correlate_residual(residual)
 
 
-class LocalEngine:
-    """Full-data engine backing the single-machine solver."""
-
-    def __init__(self, data: Dataset):
-        self.data = data
-        self.p = data.p
-
-    def curvature(self) -> np.ndarray:
-        return self.data.column_curvature()
-
-    def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
-        return residual_correlation(self.data, beta)
-
-    def root_find(self, active: np.ndarray):
-        beta, jittered = root_find_local(self.data, active)
-        return beta, jittered, 0
-
-    def finish(self, beta: SparseCoefficients) -> None:
-        pass
-
-
 def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
     """Shared outer loop: detect, check stability, solve, refresh dual.
 
@@ -172,11 +151,9 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
     rel_loss = 0.0
 
     history: list[np.ndarray] = []
-    seen: set[bytes] = set()
     best = (math.inf, None)
     iterations = 0
     converged = False
-    cycled = False
     jittered = False
     inner_rounds: list[int] = []
 
@@ -185,13 +162,9 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
         if history and np.array_equal(active, history[-1]):
             converged = True
             break
+        cycled = any(np.array_equal(active, past) for past in history)
         history.append(active)
-        key = active.tobytes()
-        if key in seen:
-            cycled = True
-            break
-        seen.add(key)
-        if iterations >= cfg.max_iter:
+        if cycled or iterations >= cfg.max_iter:
             break
 
         beta, step_jittered, rounds = engine.root_find(active)
@@ -221,14 +194,16 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
 
 
 def esdar_fit(data: Dataset, cfg: SolverConfig) -> FitResult:
-    """Single-machine fit from beta = 0 with the dual step evaluated there.
-
-    Stops when the active set repeats, at the iteration cap (returned with
-    ``converged=False``, not an error), or on the cycling guard.
+    """Single-machine fit from beta = 0 with the dual step evaluated there:
+    the low-communication fit on one machine, whose master holds every row.
+    It keeps no ledger. Stops when the active set repeats, at the iteration
+    cap (returned with ``converged=False``, not an error), or on the cycling
+    guard.
     """
-    if cfg.sparsity > data.p:
-        raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
-    return _sdar_loop(LocalEngine(data), cfg)
+    from .cluster import _MasterOnlyEngine, _distributed_fit  # cluster imports this module
+    result = _distributed_fit(_MasterOnlyEngine, data, 1, cfg)
+    result.ledger = None
+    return result
 
 
 def kkt_residual(data: Dataset, beta: SparseCoefficients, sparsity: int, tau: float,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,27 @@ def test_bench_config_out_of_range_is_exit_1(runner, tmp_path, config, problem):
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("config,problem", [
+    ({"signal_ratio": 0.5}, "signal_ratio must be finite and >= 1, got 0.5"),
+    ({"signal_ratio": math.inf}, "signal_ratio must be finite and >= 1, got inf"),
+    ({"noise_sd": math.nan}, "noise_sd must be finite and >= 0, got nan"),
+    ({"sparsity": 30}, "sparsity 30 exceeds p=20"),
+    ({"s": 0}, "s=0 must lie in [1, p-1=19]"),
+    ({"s": 20}, "s=20 must lie in [1, p-1=19]"),
+], ids=["signal_ratio", "signal_ratio_inf", "noise_sd_nan", "sparsity_above_p", "s_zero",
+        "s_equals_p"])
+def test_bench_config_whose_every_trial_fails_is_exit_1(runner, tmp_path, config, problem):
+    # Each of these cells once ran, completed no trial and exited 0.
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"n": 200, "p": 20, "s": 2, "replicates": 2, **config}))
+    result = runner.invoke(main, ["bench", "--config", str(path),
+                                  "--out-dir", str(tmp_path / "bench")])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: bench: {problem}")
+    assert result.output.count("\n") == 1
+    assert not (tmp_path / "bench").exists()
+
+
 def test_tune_writes_path_and_model(runner, tmp_path):
     cache = gen_cache(runner, tmp_path, n=400, p=30, s=3, seed=2)
     path_csv = tmp_path / "path.csv"
@@ -320,6 +342,26 @@ def test_ingest_round_trip(runner, tmp_path):
     data = load_cache(out)
     assert data.p == 1 + 2 + 2  # numeric + two dummies (drop-first) + noise
     assert data.standardized
+
+
+def test_ingest_csv_with_only_the_response_is_exit_1(runner, tmp_path):
+    csv_path = tmp_path / "only_y.csv"
+    csv_path.write_text("y\n1\n2\n3\n")
+    result = runner.invoke(main, ["ingest", "--data", str(csv_path), "--response", "y",
+                                  "--out", str(tmp_path / "d.bin")])
+    assert result.exit_code == 1
+    assert result.output == f"error: ingest: {csv_path}: no feature columns\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit", "tune"])
+def test_negative_noise_features_is_usage_error(runner, tmp_path, command):
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text("a,y\n1,3\n2,4\n3,6\n")
+    result = runner.invoke(main, [command, "--data", str(csv_path), "--response", "y",
+                                  "--noise-features", "-1", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: usage: Invalid value for '--noise-features'")
+    assert result.output.count("\n") == 1
 
 
 def test_env_seed_is_default(runner, tmp_path, monkeypatch):

@@ -68,25 +68,44 @@ def test_partition_too_many_machines():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_m1_reduction_is_bitwise(seed):
-    check_m1_reduction(300, 40, 5, seed)
+    check_m1_reduction(300, 40, 5, 5, seed)
+
+
+def test_m1_reduction_is_bitwise_with_duplicated_column():
+    # The duplicate makes every Gram on an active set holding columns 0 and
+    # 1 singular, so each solve is jittered. The conjugate-gradient rounds
+    # once ran here at M=1 with no machine to exchange with (3 solves of 2
+    # rounds each) and ended 4e-10 away from ESDAR.
+    check_m1_reduction(50, 8, 3, 6, 3, duplicate=True)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(10, 200), p=st.integers(1, 40), sparsity=st.integers(1, 10),
-       seed=st.integers(0, 2**32 - 1))
-def test_m1_reduction_is_bitwise_property(n, p, sparsity, seed):
+       seed=st.integers(0, 2**32 - 1), duplicate=st.booleans())
+def test_m1_reduction_is_bitwise_property(n, p, sparsity, seed, duplicate):
     assume(sparsity <= min(p, n // 2))
-    check_m1_reduction(n, p, sparsity, seed)
+    check_m1_reduction(n, p, sparsity, sparsity, seed, duplicate)
 
 
-def check_m1_reduction(n, p, sparsity, seed):
-    """At M=1 both distributed fits reproduce ESDAR bit for bit and send nothing."""
-    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity, seed=seed))
+def check_m1_reduction(n, p, s, sparsity, seed, duplicate=False):
+    """At M=1 both distributed fits reproduce ESDAR bit for bit, run no
+    surrogate round and send nothing; with ``duplicate``, column 1 is a
+    copy of column 0 (when p >= 2)."""
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=s, seed=seed))
+    if duplicate and p >= 2:
+        x = data.x.copy()
+        x[:, 1] = x[:, 0]
+        data = Dataset(x, data.y)
     cfg = SolverConfig(sparsity=sparsity)
     base = esdar_fit(data, cfg)
+    assert base.ledger is None and base.messages is None
+    assert base.inner_rounds == [0] * base.iterations
     for fitter in (cesdar_fit, ecesdar_fit):
         result = fitter(data, 1, cfg)
         assert bitwise_equal(result, base)
+        assert np.array_equal(result.d, base.d) and np.array_equal(result.g, base.g)
+        assert result.jittered == base.jittered
+        assert result.inner_rounds == base.inner_rounds
         assert result.ledger.entries == []
 
 

@@ -496,6 +496,20 @@ def test_dataset_rejects_underflowing_curvature():
     assert err.value.column == "x3"
 
 
+def test_dataset_rejects_overflowing_curvature():
+    # Column 5's entries are finite but its squared norm overflows: its
+    # detection key would be sqrt(inf) * 0 = NaN, which never reaches the
+    # threshold, so every fit would silently lose a slot of its active set.
+    data, _ = generate(SyntheticSpec(n=200, p=20, s=3, seed=1))
+    x = data.x.copy()
+    x[:, 5] *= 1e200
+    assert np.isfinite(x).all()
+    with pytest.raises(DegenerateColumnError,
+                       match=r"column 5 \('x5'\) has infinite curvature") as err:
+        Dataset(x, data.y)
+    assert err.value.column == "x5"
+
+
 def test_dataset_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[1.0], [np.inf]]), np.ones(2))
@@ -508,10 +522,12 @@ def _two_pass_verdict(x, y, names):
         return ValueError, "design matrix contains non-finite entries", None
     if not np.all(np.isfinite(y)):
         return ValueError, "response contains non-finite entries", None
-    dead = np.flatnonzero(np.einsum("ij,ij->j", x, x) / x.shape[0] == 0.0)
-    if dead.size:
-        name = names[dead[0]]
-        return DegenerateColumnError, f"column {dead[0]} ({name!r}) has zero curvature", name
+    curvature = np.einsum("ij,ij->j", x, x) / x.shape[0]
+    bad = np.flatnonzero((curvature == 0.0) | (curvature == np.inf))
+    if bad.size:
+        name = names[bad[0]]
+        state = "zero" if curvature[bad[0]] == 0.0 else "infinite"
+        return DegenerateColumnError, f"column {bad[0]} ({name!r}) has {state} curvature", name
     return None
 
 
@@ -528,9 +544,8 @@ _EDITS = st.tuples(st.sampled_from(["x", "y", "column"]), st.integers(0, 2**16),
 @example(n=40, p=2, seed=0, edits=[("column", 7, 0, 5e-162)])
 @example(n=4, p=3, seed=1, edits=[("column", 0, 2, 1e-170), ("y", 3, 0, -np.inf)])
 def test_one_pass_validation_matches_two_passes(n, p, seed, edits):
-    # Cells of X or y set to NaN, +-inf, +-1e200 (whose square overflows, and
-    # is accepted) or a value whose square underflows, alone in a column of
-    # zeros or not.
+    # Cells of X or y set to NaN, +-inf, +-1e200 (whose square overflows) or
+    # a value whose square underflows, alone in a column of zeros or not.
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
     for target, row, col, value in edits:

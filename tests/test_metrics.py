@@ -6,6 +6,7 @@ import pytest
 
 from cesdar.config import ExperimentConfig
 from cesdar.data import SyntheticSpec, generate, generate_test, stream_rng
+from cesdar.exceptions import DegenerateColumnError
 import cesdar.metrics as metrics_module
 from cesdar.metrics import (
     SOLVERS,
@@ -199,13 +200,24 @@ def test_trials_csv_and_summary_json(tmp_path):
     assert table[1].startswith("2,CESDAR,")
 
 
-def test_trial_errors_are_recorded_not_raised():
-    # p == s makes the inactive set empty, which the metrics reject per trial
-    config = ExperimentConfig(algorithm="cesdar", n=100, p=5, s=5, sparsity=5,
+def test_trial_errors_are_recorded_not_raised(monkeypatch):
+    # The config rejects every cell whose trials must all fail, so a solver
+    # that fails on the first replicate stands in for a trial error.
+    config = ExperimentConfig(algorithm="cesdar", n=100, p=5, s=2, sparsity=2,
                               machines=1, replicates=2, base_seed=0, n_test=50)
+    real, calls = SOLVERS["cesdar"], []
+
+    def fails_on_first_trial(data, machines, cfg):
+        calls.append(data)
+        if len(calls) == 1:
+            raise DegenerateColumnError("column 0 ('x0') has zero curvature", column="x0")
+        return real(data, machines, cfg)
+
+    monkeypatch.setitem(SOLVERS, "cesdar", fails_on_first_trial)
     summary, trials = run_cell(config)
-    assert summary.completed == 0
-    assert all("inactive set is empty" in t.error for t in trials)
+    assert summary.completed == 1
+    assert trials[0].error == "DegenerateColumnError: column 0 ('x0') has zero curvature"
+    assert not trials[1].error
 
 
 # --- theory diagnostics ------------------------------------------------------------

@@ -10,6 +10,10 @@ the CSDR1 cache bytes of a standardized, a plain and a generated dataset,
 and what ``load_cache`` reads back from them.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
+
+It also checks the M=1 contract: on every shape fitted at M=1, the CESDAR
+and ECESDAR records equal ESDAR's on every field but the ledger and the
+message log. If one does not, it exits 1 naming the shape, before printing.
 """
 import hashlib
 import sys
@@ -36,17 +40,21 @@ SHAPES = [((400, 50, 5, 5, 1), (1, 2, 4, 8)), ((240, 600, 6, 10, 2), (1, 2, 4, 8
 LEDGER_FIELDS = ("iteration", "kind", "direction", "byte_size", "n_indices", "n_reals", "worker")
 
 
-def fit_record(fit) -> str:
+def fit_fields(fit) -> tuple:
+    """Every field of a fit but its ledger and message log."""
     arrays = (fit.beta.support, fit.beta.values, fit.d, fit.g, *fit.active_history)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays], fit.iterations,
+            fit.converged, fit.jittered, fit.cycled, fit.rel_loss, fit.inner_rounds)
+
+
+def fit_record(fit) -> str:
     rows = [tuple(getattr(e, f) for f in LEDGER_FIELDS) for e in fit.ledger.entries] \
         if fit.ledger is not None else None
     log = None
     if fit.messages is not None:
         log = [(m.kind, m.indices.dtype.str, m.indices.tobytes(), m.reals.dtype.str,
                 m.reals.tobytes()) for m in fit.messages]
-    return repr(([(a.dtype.str, a.shape, a.tobytes()) for a in arrays], fit.iterations,
-                 fit.converged, fit.jittered, fit.cycled, fit.rel_loss, fit.inner_rounds,
-                 rows, log))
+    return repr(fit_fields(fit) + (rows, log))
 
 
 def cache_datasets():
@@ -69,16 +77,21 @@ def digests(scratch: Path) -> dict:
         back = load_cache(scratch / "data.bin")
         out["cache"].update((scratch / "data.bin").read_bytes())
         out["cache"].update(repr(back.feature_names).encode() + back.x.tobytes() + back.y.tobytes())
-    for (n, p, s, sparsity, seed), machine_counts in SHAPES:
+    for shape, machine_counts in SHAPES:
+        n, p, s, sparsity, seed = shape
         data, _ = generate(SyntheticSpec(n=n, p=p, s=s, seed=seed))
         cfg = SolverConfig(sparsity=sparsity)
         if 1 in machine_counts:
-            out["esdar"].update(fit_record(esdar_fit(data, cfg)).encode())
+            esdar = esdar_fit(data, cfg)
+            out["esdar"].update(fit_record(esdar).encode())
         for machines in machine_counts:
             for kind, fitter in (("cesdar", cesdar_fit), ("ecesdar", ecesdar_fit)):
                 cluster = SimulatedCluster(data, machines, log_messages=True)
                 fit = fitter(data, machines, cfg, cluster=cluster)
                 out[kind].update(fit_record(fit).encode())
+                if machines == 1 and repr(fit_fields(fit)) != repr(fit_fields(esdar)):
+                    raise SystemExit(f"{kind} at M=1 differs from ESDAR on shape "
+                                     f"(n, p, s, T, seed) = {shape}")
     data, _ = generate(SyntheticSpec(n=1000, p=600, s=8, seed=5))
     for step in (1, 2):
         best, path = acesdar_fit(data, TuningConfig(step=step, machines=4))
