@@ -65,10 +65,9 @@ class Dataset:
     Rejects zero rows, non-finite entries and columns whose curvature is
     zero or overflows at construction in one pass over X, scanning X
     entrywise only when a curvature is not finite, so the solvers never
-    re-validate; shards too reject scaling metadata the cache cannot
-    store. ``column_curvature`` (squared column norms over n) is cached, as
-    are the columns ``columns`` has gathered; neither depends on an
-    iterate, and X is never mutated.
+    re-validate; shards carry only their rows and names. ``column_curvature``
+    (squared column norms over n) is cached, as are the columns ``columns``
+    has gathered; neither depends on an iterate, and X is never mutated.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -177,13 +176,9 @@ class Dataset:
         return self.x.T @ residual / self.n
 
     def row_slice(self, start: int, stop: int) -> "Dataset":
-        """Shard view over contiguous rows; shares storage, never mutated."""
-        return Dataset(
-            self.x[start:stop], self.y[start:stop], self.feature_names,
-            standardized=self.standardized, column_means=self.column_means,
-            column_scales=self.column_scales, y_mean=self.y_mean,
-            y_scale=self.y_scale, _validate=False,
-        )
+        """Unvalidated shard view over contiguous rows; shares storage, never mutated."""
+        return Dataset(self.x[start:stop], self.y[start:stop], self.feature_names,
+                       _validate=False)
 
 
 @dataclass(frozen=True)
@@ -202,6 +197,9 @@ class SyntheticSpec:
             raise ConfigurationError("n and p must be positive")
         if not 0 <= self.s <= self.p:
             raise ConfigurationError(f"s={self.s} must lie in [0, p={self.p}]")
+        if self.p == 1 and self.s:
+            raise ConfigurationError(f"s={self.s} needs p >= 2: at p=1 the signal floor "
+                                     "sqrt(2 log(p)/n) is 0, so every signal would be 0")
         if not 0 <= self.noise_sd < math.inf:
             raise ConfigurationError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if not 1 <= self.signal_ratio < math.inf:  # below 1 the cap sits under the floor
@@ -364,17 +362,25 @@ def example_grid(example: int):
     return dict(_EXAMPLES[example][1])
 
 
-def _standardize_columns(x, names):
+def _standardize(x, y, names, where: str):
+    """(x, y, the Dataset scaling fields): each column and the response
+    centered and scaled to unit variance. DegenerateColumnError, prefixed by
+    ``where``, names a constant one."""
     means = x.mean(axis=0)
     centered = x - means
     scales = np.sqrt(np.einsum("ij,ij->j", centered, centered) / x.shape[0])
     dead = np.flatnonzero(scales == 0.0)
     if dead.size:
-        raise DegenerateColumnError(
-            f"column {names[dead[0]]!r} is constant; cannot standardize",
-            column=names[dead[0]],
-        )
-    return centered / scales, means, scales
+        name = names[dead[0]]
+        raise DegenerateColumnError(f"{where}column {name!r} is constant; cannot standardize",
+                                    column=name)
+    y_mean = float(y.mean())
+    y_scale = float(np.sqrt(((y - y_mean) ** 2).mean()))
+    if y_scale == 0.0:
+        raise DegenerateColumnError(f"{where}the response is constant; cannot standardize")
+    scaling = dict(standardized=True, column_means=means, column_scales=scales,
+                   y_mean=y_mean, y_scale=y_scale)
+    return centered / scales, (y - y_mean) / y_scale, scaling
 
 
 def _check_unique(path, names, problem: str) -> None:
@@ -393,7 +399,8 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     (the reference level). ``n_noise_features`` standard-normal columns are
     appended from the dedicated noise stream of ``noise_seed``. With
     ``standardize`` every column (dummies and noise included) is centered to
-    mean zero and scaled to unit variance, and so is the response.
+    mean zero and scaled to unit variance, and so is the response; a
+    constant one raises DegenerateColumnError naming ``path`` and the column.
 
     Unparseable numeric cells raise with the 1-based data row number; a
     repeated header name, a categorical response, a name shared by two
@@ -466,26 +473,18 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     x = np.column_stack(blocks)
     y = parse(response_column)
 
-    means = scales = None
-    y_mean = y_scale = None
+    scaling = {}
     if standardize:
-        x, means, scales = _standardize_columns(x, names)
-        y_mean = float(y.mean())
-        y_scale = float(np.sqrt(((y - y_mean) ** 2).mean()))
-        if y_scale == 0.0:
-            raise IngestError(f"{path}: response {response_column!r} is constant")
-        y = (y - y_mean) / y_scale
-
-    return Dataset(x, y, names, standardized=standardize,
-                   column_means=means, column_scales=scales,
-                   y_mean=y_mean, y_scale=y_scale)
+        x, y, scaling = _standardize(x, y, names, f"{path}: ")
+    return Dataset(x, y, names, **scaling)
 
 
-def split(data: Dataset, n_train: int, seed: int, standardize=None):
+def split(data: Dataset, n_train: int, seed: int):
     """Seeded uniform row split without replacement.
 
-    When the input is standardized (or ``standardize`` is forced on), the
-    statistics are recomputed on the training rows and applied to both
+    The halves follow the input's standardization: a standardized input's
+    statistics are recomputed on the training rows (a constant one raises
+    DegenerateColumnError prefixed ``training rows: ``) and applied to both
     halves, so the test set uses the training means and scales.
     """
     if not 0 < n_train < data.n:
@@ -493,27 +492,16 @@ def split(data: Dataset, n_train: int, seed: int, standardize=None):
     perm = stream_rng(seed, "split").permutation(data.n)
     train_rows = np.sort(perm[:n_train])
     test_rows = np.sort(perm[n_train:])
-    if standardize is None:
-        standardize = data.standardized
 
     x_tr, y_tr = data.x[train_rows], data.y[train_rows]
     x_te, y_te = data.x[test_rows], data.y[test_rows]
-    means = scales = None
-    y_mean = y_scale = None
-    if standardize:
-        x_tr, means, scales = _standardize_columns(x_tr, data.feature_names)
-        x_te = (x_te - means) / scales
-        y_mean = float(y_tr.mean())
-        y_scale = float(np.sqrt(((y_tr - y_mean) ** 2).mean()))
-        if y_scale == 0.0:
-            raise DegenerateColumnError("training response is constant")
-        y_tr = (y_tr - y_mean) / y_scale
-        y_te = (y_te - y_mean) / y_scale
-
-    common = dict(standardized=standardize, column_means=means, column_scales=scales,
-                  y_mean=y_mean, y_scale=y_scale)
-    return (Dataset(x_tr, y_tr, data.feature_names, **common),
-            Dataset(x_te, y_te, data.feature_names, **common))
+    scaling = {}
+    if data.standardized:
+        x_tr, y_tr, scaling = _standardize(x_tr, y_tr, data.feature_names, "training rows: ")
+        x_te = (x_te - scaling["column_means"]) / scaling["column_scales"]
+        y_te = (y_te - scaling["y_mean"]) / scaling["y_scale"]
+    return (Dataset(x_tr, y_tr, data.feature_names, **scaling),
+            Dataset(x_te, y_te, data.feature_names, **scaling))
 
 
 def save_cache(path, data: Dataset) -> None:

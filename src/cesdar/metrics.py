@@ -45,6 +45,8 @@ __all__ = [
 
 SCHEMA_VERSION = "bench-v1"
 ORACLE_TOL = 1e-8
+COHERENCE_BLOCK = 512  # Gram columns per block: bounds memory, not the result
+SRC_EXACT_LIMIT = 14  # widest p whose constants are enumerated (exponential in p)
 
 # The fixed-T solvers by algorithm name, each called as (data, machines,
 # SolverConfig); ESDAR runs on one machine. ACESDAR, which picks T, is not one.
@@ -155,17 +157,21 @@ def _mean_sd(values):
 def refold(algorithm: str, machines: int, replicates: int, trials) -> MetricsSummary:
     """Pure fold of completed trials, in replicate order."""
     done = [t for t in trials if not t.error]
+
+    def mean(values):
+        return float(np.mean(values)) if done else math.nan
+
     aee_mean, aee_sd = _mean_sd([t.aee for t in done])
     ape_mean, ape_sd = _mean_sd([t.ape for t in done])
     return MetricsSummary(
         algorithm=algorithm, machines=machines, replicates=replicates,
         completed=len(done),
         aee_mean=aee_mean, aee_sd=aee_sd, ape_mean=ape_mean, ape_sd=ape_sd,
-        apdr=float(np.mean([t.pdr_term for t in done])) if done else math.nan,
-        afdr=float(np.mean([t.inactive_term for t in done])) if done else math.nan,
-        ora=float(np.mean([1.0 if t.oracle else 0.0 for t in done])) if done else math.nan,
-        ani=float(np.mean([t.iterations for t in done])) if done else math.nan,
-        art=float(np.mean([t.wall_clock_compute for t in done])) if done else math.nan,
+        apdr=mean([t.pdr_term for t in done]),
+        afdr=mean([t.inactive_term for t in done]),
+        ora=mean([1.0 if t.oracle else 0.0 for t in done]),
+        ani=mean([t.iterations for t in done]),
+        art=mean([t.wall_clock_compute for t in done]),
     )
 
 
@@ -308,7 +314,7 @@ def emit_grid(path, cells) -> None:
             )
 
 
-def mutual_coherence(x: np.ndarray, block: int = 512) -> float:
+def mutual_coherence(x: np.ndarray) -> float:
     """Largest normalized |<x_i, x_j>| over distinct columns, blockwise."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -319,8 +325,8 @@ def mutual_coherence(x: np.ndarray, block: int = 512) -> float:
     unit = x / norms
     p = unit.shape[1]
     best = 0.0
-    for start in range(0, p, block):
-        stop = min(start + block, p)
+    for start in range(0, p, COHERENCE_BLOCK):
+        stop = min(start + COHERENCE_BLOCK, p)
         gram = np.abs(unit[:, start:stop].T @ unit)
         for row in range(stop - start):
             gram[row, start + row] = 0.0
@@ -372,11 +378,11 @@ class SrcConstants(NamedTuple):
 
 
 def src_constants(x: np.ndarray, sparsity: int, seed: int = 0,
-                  n_samples: int = 2000, exact_limit: int = 14) -> SrcConstants:
+                  n_samples: int = 2000) -> SrcConstants:
     """Sparse-spectrum constants: the largest cross-block operator norm over
     disjoint column subsets and the smallest restricted Gram eigenvalue.
 
-    Exact enumeration is exponential, so it only runs for p <= exact_limit;
+    Exact enumeration is exponential, so it only runs for p <= SRC_EXACT_LIMIT;
     larger designs get a random-subset estimate with the sample size
     reported (bound reports built on it are labeled estimated).
     """
@@ -393,7 +399,7 @@ def src_constants(x: np.ndarray, sparsity: int, seed: int = 0,
         block = x[:, a_cols].T @ x[:, b_cols] / n
         return float(np.linalg.norm(block, 2))
 
-    if p <= exact_limit:
+    if p <= SRC_EXACT_LIMIT:
         c_minus = min(lam_min(list(c)) for c in itertools.combinations(range(p), sparsity))
         theta = 0.0
         for a_cols in itertools.combinations(range(p), sparsity):

@@ -117,11 +117,7 @@ def root_find_local(data: Dataset, active) -> tuple[SparseCoefficients, bool]:
 
 def residual_correlation(data: Dataset, beta: SparseCoefficients) -> np.ndarray:
     """X'(y - X beta)/n, the raw (curvature-free) dual direction."""
-    if beta.support.size:
-        residual = data.y - data.columns(beta.support) @ beta.values
-    else:
-        residual = data.y
-    return data.correlate_residual(residual)
+    return data.correlate_residual(data.y - data.columns(beta.support) @ beta.values)
 
 
 def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
@@ -147,11 +143,11 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
         beta, warm_d = warm
         if beta.dim != engine.p or warm_d.shape != (engine.p,):
             raise ValueError("warm start does not match the problem dimension")
-        d = warm_d.copy()
+        d = warm_d
     rel_loss = 0.0
 
     history: list[np.ndarray] = []
-    best = (math.inf, None)
+    best = (math.inf, None, None, 0)
     iterations = 0
     converged = False
     jittered = False
@@ -177,12 +173,12 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
         d[active] = 0.0
         iterations += 1
         if rel_loss < best[0]:
-            best = (rel_loss, (beta, d.copy(), iterations, rel_loss))
+            best = (rel_loss, beta, d, iterations)
 
     if cycled and best[1] is not None:
         # Revisited an earlier active set without stabilizing: return the
         # smallest-loss iterate, flagged not converged.
-        beta, d, iterations, rel_loss = best[1]
+        rel_loss, beta, d, iterations = best
 
     result = FitResult(
         beta=beta.canonical(), iterations=iterations, converged=converged,

@@ -353,6 +353,30 @@ def test_ingest_csv_with_only_the_response_is_exit_1(runner, tmp_path):
     assert result.output == f"error: ingest: {csv_path}: no feature columns\n"
 
 
+@pytest.mark.parametrize("body,problem", [
+    ("a,c,y\n1,5,1\n2,5,2\n3,5,3\n", "column 'c' is constant; cannot standardize"),
+    ("a,c,y\n1,5,4\n2,6,4\n3,5,4\n", "the response is constant; cannot standardize"),
+], ids=["column", "response"])
+def test_ingest_constant_is_one_line_exit_1(runner, tmp_path, body, problem):
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text(body)
+    result = runner.invoke(main, ["ingest", "--data", str(csv_path), "--response", "y",
+                                  "--out", str(tmp_path / "d.bin")])
+    assert result.exit_code == 1
+    assert result.output == f"error: ingest: {csv_path}: {problem}\n"
+    assert not (tmp_path / "d.bin").exists()
+
+
+def test_gen_with_signal_at_p1_is_exit_1(runner, tmp_path):
+    # At p=1 the signal floor is 0: the truth would list a zero signal.
+    result = runner.invoke(main, ["gen", "--n", "10", "--p", "1", "--s", "1",
+                                  "--out", str(tmp_path / "s.bin")])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: gen: s=1 needs p >= 2")
+    assert result.output.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["ingest", "fit", "tune"])
 def test_negative_noise_features_is_usage_error(runner, tmp_path, command):
     csv_path = tmp_path / "raw.csv"

@@ -91,7 +91,7 @@ def check_m1_reduction(n, p, s, sparsity, seed, duplicate=False):
     """At M=1 both distributed fits reproduce ESDAR bit for bit, run no
     surrogate round and send nothing; with ``duplicate``, column 1 is a
     copy of column 0 (when p >= 2)."""
-    data, _ = generate(SyntheticSpec(n=n, p=p, s=s, seed=seed))
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=s if p > 1 else 0, seed=seed))
     if duplicate and p >= 2:
         x = data.x.copy()
         x[:, 1] = x[:, 0]
@@ -187,8 +187,9 @@ def test_surrogate_conjugate_gradient_property(size, spare_rows, spare_cols, mac
     # Shards of |A| rows and more, so the master-shard Gram can be barely
     # regular. Each exchange follows one master-Gram solve: the benchmark
     # reconciles its surrogate rounds on that count.
-    data, _ = generate(SyntheticSpec(n=machines * (size + spare_rows), p=size + spare_cols,
-                                     s=size, seed=seed))
+    p = size + spare_cols
+    data, _ = generate(SyntheticSpec(n=machines * (size + spare_rows), p=p,
+                                     s=size if p > 1 else 0, seed=seed))
     active = np.sort(np.random.default_rng(seed).choice(data.p, size, replace=False))
     cluster = SimulatedCluster(data, machines)
     curvature = cluster.curvature()
@@ -315,7 +316,7 @@ def expected_ledger(result, machines, p, sparsity, algo):
 @example(n=300, p=40, machines=3, sparsity=4, seed=10)
 def test_ledger_matches_protocol_replay(algo, fitter, n, p, machines, sparsity, seed):
     assume(sparsity <= p and n // machines >= 2 * sparsity)
-    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity, seed=seed))
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity if p > 1 else 0, seed=seed))
     result = fitter(data, machines, SolverConfig(sparsity=sparsity))
     actual = [(e.iteration, e.kind, e.direction, e.n_indices, e.n_reals, e.worker)
               for e in result.ledger.entries]
@@ -505,7 +506,7 @@ def test_cluster_passes_are_the_shards_passes_in_worker_order(n, p, machines, se
     # shards have gathered (and kept) the columns of an earlier iterate. The
     # second iterate is never zero, whose dual the cluster exchanges once.
     assume(n >= machines)
-    data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=1 if p > 1 else 0, seed=seed))
     _, shards = partition(data, machines)
     rng = np.random.default_rng(seed)
     cluster = SimulatedCluster(data, machines, log_messages=True)

@@ -25,6 +25,7 @@ from cesdar.data import (
     save_cache,
     save_truth,
     split,
+    stream_rng,
 )
 from cesdar.exceptions import ConfigurationError, DegenerateColumnError, IngestError
 
@@ -48,6 +49,14 @@ def test_generate_zero_noise_zero_signal():
     data, truth = generate(SyntheticSpec(n=50, p=10, s=0, noise_sd=0.0, seed=1))
     assert np.array_equal(data.y, np.zeros(50))
     assert truth.support.size == 0
+
+
+def test_spec_with_signal_at_p1_is_rejected():
+    # At p=1 the signal floor sqrt(2 log(p)/n) is 0, so the truth would list
+    # a support whose values are all exactly 0.
+    with pytest.raises(ConfigurationError, match=re.escape("s=1 needs p >= 2")):
+        SyntheticSpec(n=10, p=1, s=1, seed=0)
+    assert generate(SyntheticSpec(n=10, p=1, s=0, seed=0))[1].support.size == 0
 
 
 def test_generate_truth_shape_and_range():
@@ -213,6 +222,15 @@ def test_ingest_constant_column_named(tmp_path):
         ingest_csv(write_csv(tmp_path, body), "y", standardize=True)
 
 
+@pytest.mark.parametrize("body,problem", [
+    ("a,c,y\n1,5,1\n2,5,2\n3,5,3\n", "column 'c' is constant"),
+    ("a,c,y\n1,5,4\n2,6,4\n3,5,4\n", "the response is constant"),
+], ids=["column", "response"])
+def test_ingest_constant_names_the_path(tmp_path, body, problem):
+    with pytest.raises(DegenerateColumnError, match=re.escape(f"data.csv: {problem}")):
+        ingest_csv(write_csv(tmp_path, body), "y", standardize=True)
+
+
 def test_ingest_noise_features_seeded(tmp_path):
     d1 = ingest_csv(write_csv(tmp_path), "price", categorical_columns=["color"],
                     n_noise_features=2, noise_seed=7, standardize=False)
@@ -252,6 +270,62 @@ def test_split_uses_train_statistics(tmp_path):
     assert np.abs(test.x.mean(axis=0)).max() > 1e-6
 
 
+def _reference_split(data, n_train, seed):
+    """The split formula, kept here: (x, y, scaling) of both halves, the
+    standardized ones scaled by the training rows' statistics."""
+    perm = stream_rng(seed, "split").permutation(data.n)
+    halves = [(data.x[rows], data.y[rows])
+              for rows in (np.sort(perm[:n_train]), np.sort(perm[n_train:]))]
+    if not data.standardized:
+        return [(x, y, (None, None, None, None)) for x, y in halves]
+    x_tr, y_tr = halves[0]
+    means = x_tr.mean(axis=0)
+    centered = x_tr - means
+    scales = np.sqrt(np.einsum("ij,ij->j", centered, centered) / n_train)
+    y_mean = float(y_tr.mean())
+    y_scale = float(np.sqrt(((y_tr - y_mean) ** 2).mean()))
+    return [((x - means) / scales, (y - y_mean) / y_scale, (means, scales, y_mean, y_scale))
+            for x, y in halves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 40), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       standardized=st.booleans(), data=st.data())
+def test_split_halves_are_the_reference_bitwise(n, p, seed, standardized, data):
+    rng = np.random.default_rng(seed)
+    scaling = dict(standardized=True, column_means=rng.standard_normal(p),
+                   column_scales=rng.uniform(0.5, 2.0, p)) if standardized else {}
+    dataset = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n), **scaling)
+    n_train = data.draw(st.integers(2, n - 1))
+    halves = split(dataset, n_train, seed)
+    for half, (x, y, (means, scales, y_mean, y_scale)) in zip(
+            halves, _reference_split(dataset, n_train, seed)):
+        assert half.standardized == standardized
+        assert half.x.tobytes() == x.tobytes() and half.y.tobytes() == y.tobytes()
+        for got, want in ((half.column_means, means), (half.column_scales, scales)):
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+        assert (half.y_mean, half.y_scale) == (y_mean, y_scale)
+
+
+def test_split_names_a_column_constant_on_either_half():
+    # With n_train = n - 1 one row is held out, and the dummy is 1 there
+    # only, so it is 0 on every training row.
+    n, seed = 8, 4
+    held_out = stream_rng(seed, "split").permutation(n)[-1]
+    rng = np.random.default_rng(3)
+    x = np.column_stack([rng.standard_normal(n), (np.arange(n) == held_out).astype(float)])
+    y, names = rng.standard_normal(n), ["a", "size=XL"]
+    standardized = Dataset(x, y, names, standardized=True, column_means=np.zeros(2),
+                           column_scales=np.ones(2))
+    with pytest.raises(DegenerateColumnError,
+                       match=re.escape("training rows: column 'size=XL' is constant")) as info:
+        split(standardized, n - 1, seed)
+    assert info.value.column == "size=XL"
+    with pytest.raises(DegenerateColumnError, match=re.escape("column 1 ('size=XL') has zero")):
+        split(Dataset(x, y, names), n - 1, seed)
+
+
 @pytest.mark.parametrize("payload,problem", [
     ({"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}, "strictly increasing"),
     ({"dim": 8, "support": [1, 4], "values": [1.0, float("nan")]}, "finite"),
@@ -276,7 +350,7 @@ def test_load_truth_rejects_invalid(tmp_path, payload, problem):
          standardized=True, y_scaled=False)
 def test_cache_round_trip_bit_exact(tmp_path, n, names, seed, standardized, y_scaled):
     p = len(names)
-    plain, truth = generate(SyntheticSpec(n=n, p=p, s=min(2, p), seed=seed))
+    plain, truth = generate(SyntheticSpec(n=n, p=p, s=min(2, p) if p > 1 else 0, seed=seed))
     rng = np.random.default_rng(seed)
     scaling = dict(column_means=rng.standard_normal(p), column_scales=rng.uniform(0.5, 2.0, p))
     if y_scaled:

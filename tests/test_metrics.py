@@ -243,10 +243,12 @@ def test_mutual_coherence_invariances():
     assert mutual_coherence(flipped) == pytest.approx(base, rel=1e-12)
 
 
-def test_mutual_coherence_blocking_consistent():
+def test_mutual_coherence_blocking_consistent(monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((30, 20))
-    assert mutual_coherence(x, block=3) == pytest.approx(mutual_coherence(x, block=512))
+    whole = mutual_coherence(x)
+    monkeypatch.setattr(metrics_module, "COHERENCE_BLOCK", 3)
+    assert mutual_coherence(x) == pytest.approx(whole)
 
 
 def test_theory_bounds_hand_values():

@@ -7,7 +7,11 @@ message's kind, dtypes and array bytes) at M = 1, 2, 4, 8 on a tall, a wide
 (column-cached) and a jittered shape, and at M = 32 and 128 on a 4000x100
 one; ACESDAR paths at steps 1 and 2; the trial CSVs of a small ``bench``;
 the CSDR1 cache bytes of a standardized, a plain and a generated dataset,
-and what ``load_cache`` reads back from them.
+and what ``load_cache`` reads back from them; and ``ingest``: what
+``ingest_csv`` makes of a fixed CSV (numeric columns, two categoricals, three
+noise columns) with and without standardizing and dropping the first level,
+and the CSDR1 bytes of both halves of each ``split`` of it, or the ``repr``
+of the error the split raises.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
 
@@ -15,6 +19,7 @@ It also checks the M=1 contract: on every shape fitted at M=1, the CESDAR
 and ECESDAR records equal ESDAR's on every field but the ledger and the
 message log. If one does not, it exits 1 naming the shape, before printing.
 """
+import csv
 import hashlib
 import sys
 import tempfile
@@ -28,8 +33,9 @@ from click.testing import CliRunner  # noqa: E402
 from cesdar.cli import main  # noqa: E402
 from cesdar.cluster import SimulatedCluster, cesdar_fit, ecesdar_fit  # noqa: E402
 from cesdar.config import SolverConfig, TuningConfig  # noqa: E402
-from cesdar.data import (Dataset, SyntheticSpec, generate, load_cache,  # noqa: E402
-                         save_cache)
+from cesdar.data import (Dataset, SyntheticSpec, generate, ingest_csv,  # noqa: E402
+                         load_cache, save_cache, split)
+from cesdar.exceptions import CesdarError  # noqa: E402
 from cesdar.sdar import esdar_fit  # noqa: E402
 from cesdar.tuning import acesdar_fit, write_path_csv  # noqa: E402
 
@@ -69,9 +75,47 @@ def cache_datasets():
     yield generate(SyntheticSpec(n=50, p=300, s=5, seed=4))[0]
 
 
+def write_ingest_csv(path: Path) -> None:
+    """24 rows: two numeric columns, a three-level ``color``, a ``size`` whose
+    level XL sits in two rows only, and the response."""
+    rng = np.random.default_rng(13)
+    sizes = ["S", "M", "L"] * 7 + ["XL", "S", "XL"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "color", "b", "size", "y"])
+        for size in sizes:
+            a, b, y = rng.standard_normal(3)
+            color = ("red", "green", "blue")[rng.integers(3)]
+            writer.writerow([f"{a:.6f}", color, f"{b:.6f}", size, f"{y:.6f}"])
+
+
+def ingest_digest(scratch: Path, h) -> None:
+    path = scratch / "ingest.csv"
+    write_ingest_csv(path)
+    for standardize in (True, False):
+        for drop_first in (True, False):
+            data = ingest_csv(path, "y", categorical_columns=["color", "size"],
+                              n_noise_features=3, noise_seed=2, standardize=standardize,
+                              drop_first=drop_first)
+            scaling = [None if a is None else a.tobytes()
+                       for a in (data.column_means, data.column_scales)]
+            h.update(repr((data.feature_names, data.standardized, scaling, data.y_mean,
+                           data.y_scale)).encode() + data.x.tobytes() + data.y.tobytes())
+            for n_train, seed in ((20, 0), (20, 1), (12, 5), (22, 3)):
+                try:
+                    halves = split(data, n_train, seed)
+                except CesdarError as exc:
+                    h.update(repr(exc).encode())
+                    continue
+                for half in halves:
+                    save_cache(scratch / "half.bin", half)
+                    h.update((scratch / "half.bin").read_bytes())
+
+
 def digests(scratch: Path) -> dict:
-    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache")
+    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest")
     out = {kind: hashlib.sha256() for kind in kinds}
+    ingest_digest(scratch, out["ingest"])
     for data in cache_datasets():
         save_cache(scratch / "data.bin", data)
         back = load_cache(scratch / "data.bin")
