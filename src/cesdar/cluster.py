@@ -22,17 +22,23 @@ Per outer iteration on active set A:
   preconditioned by the master-shard Gram, until the sample-weighted
   global gradient vanishes on A. Each exchange broadcasts a point
   (BroadcastAnchor, |A| indices + |A| reals) and collects local gradients
-  there (ReportGradient, |A| reals): one at the start, one per conjugate
-  gradient step, plus one verification exchange at the final point. Both
-  distributed variants share this step. A worker keeps only its shard's
-  normal equations on the last active set and answers anchors from them;
-  these aggregates of its own rows never leave the machine.
+  there (ReportGradient, |A| reals): one at the start and one per conjugate
+  gradient step. Both distributed variants share this step. A worker keeps
+  only its shard's normal equations on the last active set and answers
+  anchors from them; these aggregates of its own rows never leave the
+  machine. One verification exchange at the final point checks the
+  solve: one more anchor for the low-communication variant, the dual
+  exchange below for the distributed one, whose active entries are the
+  negated full-sample gradient there.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
   master weight-averages the reports, divides by the combined curvature,
   and zeroes the active coordinates. The low-communication variant skips
   both messages and uses master-shard curvature and duals instead.
+  A failed check costs this variant one dual exchange (p reals per
+  worker) where an anchor costs |A|; the solve then goes on and its dual
+  is exchanged again at the final point.
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate and workers keep no coefficients,
@@ -356,7 +362,7 @@ class SimulatedCluster:
 
 
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
-                        curvature: np.ndarray):
+                        curvature: np.ndarray, check=None):
     """Global least squares on ``active`` by preconditioned conjugate gradient.
 
     The system is the full-sample normal equations G b = c on ``active``,
@@ -367,10 +373,13 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     step solves z = H1^-1 r for the current gradient r, then exchanges at
     x + p, which gives G p = grad(x + p) - r; in exact arithmetic at most
     |A| steps are needed. The recurrence gradient drifts, so once it passes
-    the stop test one more exchange checks the true gradient at x (a failed
-    check restarts from x with it). Every exchange follows one H1 solve,
-    the unused one before that check too, so ``rounds`` = solves - 1 =
-    exchanges - 1.
+    the stop test one more exchange, ``check(x)``, returns the true
+    gradient at x (a failed check restarts from x with it). The default
+    check is one more anchor exchange; a caller may pass another exchange
+    that yields the same gradient. Every exchange follows one H1 solve,
+    the unused one before a check too, so ``rounds`` = solves - 1, and the
+    anchor exchanges number rounds + 1 with the default check, or rounds
+    when a check of another kind passes at once.
 
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
     and still preconditions G, so the solve converges to the full-sample
@@ -394,6 +403,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         cluster.broadcast("BroadcastAnchor", active, at)
         return cluster.combine(master, cluster.collect_gradients(active))
 
+    check = gradient if check is None else check
     g_active = curvature[active]
     residual, verified, direction = gradient(point), True, None
     rounds = 0
@@ -409,7 +419,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         jittered = jittered or step_jittered
         rounds += 1
         if small:  # check the recurrence against the true gradient
-            residual, verified, direction = gradient(point), True, None
+            residual, verified, direction = check(point), True, None
             continue
         rz = float(residual @ step)
         direction = -step if direction is None else rz / rz_prev * direction - step
@@ -424,25 +434,43 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
 
 
 class _ClusterEngine:
-    """Averaged-(g, d) engine: the communication-efficient distributed run."""
+    """Averaged-(g, d) engine: the communication-efficient distributed run.
+
+    Its root find checks the surrogate solve on the dual exchange the loop
+    needs next anyway: the raw dual at the final point, negated on the
+    active set, is the full-sample gradient there. The dual is kept and
+    answers the loop's ``raw_dual`` call at that same iterate.
+    """
 
     def __init__(self, cluster: SimulatedCluster):
         self.cluster = cluster
         self.p = cluster.p
         self.surrogate_ok = True
+        self._checked = None  # (iterate, raw dual) of the last dual check
 
     def curvature(self) -> np.ndarray:
         return self.cluster.curvature()
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
+        checked, self._checked = self._checked, None
+        if checked is not None and checked[0] == beta:
+            return checked[1]
         return self.cluster.raw_dual(beta)
+
+    def check(self, active: np.ndarray):
+        """The surrogate solve's verification exchange on ``active``."""
+        def dual_check(point: np.ndarray) -> np.ndarray:
+            iterate = SparseCoefficients(self.p, active, point)
+            self._checked = iterate, self.cluster.raw_dual(iterate)
+            return -self._checked[1][iterate.support]
+        return dual_check
 
     def root_find(self, active: np.ndarray):
         self.cluster.iteration += 1
         # The surrogate rounds weight gradients by sample size and use the
         # curvature only for their stop scale, so either engine's works.
         beta, jittered, rounds, ok = surrogate_root_find(
-            self.cluster, active, self.curvature()
+            self.cluster, active, self.curvature(), self.check(active)
         )
         self.surrogate_ok = self.surrogate_ok and ok
         return beta, jittered, rounds
@@ -463,6 +491,9 @@ class _MasterOnlyEngine(_ClusterEngine):
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         return residual_correlation(self.cluster.master_shard, beta)
+
+    def check(self, active: np.ndarray):
+        return None  # its duals are the master's: one more anchor checks
 
 
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,

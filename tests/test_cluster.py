@@ -295,7 +295,10 @@ def expected_ledger(result, machines, p, sparsity, algo):
         add(0, "ReportDual", WORKER_TO_MASTER, 0, p)
     solves = len(result.inner_rounds)
     for k in range(1, solves + 1):
-        exchanges = result.inner_rounds[k - 1] + 1
+        rounds = result.inner_rounds[k - 1]
+        # CESDAR checks a solve that ran rounds on the dual exchange below,
+        # ECESDAR on one more anchor exchange.
+        exchanges = rounds if algo == "cesdar" and rounds else rounds + 1
         for _ in range(exchanges):
             for worker in range(1, machines):
                 rows.append((k, "BroadcastAnchor", MASTER_TO_WORKER, sparsity, sparsity, worker))
@@ -321,6 +324,96 @@ def test_ledger_matches_protocol_replay(algo, fitter, n, p, machines, sparsity, 
     actual = [(e.iteration, e.kind, e.direction, e.n_indices, e.n_reals, e.worker)
               for e in result.ledger.entries]
     assert actual == expected_ledger(result, machines, data.p, sparsity, algo)
+
+
+def fit_fields(fit):
+    """Every field of a fit but its ledger and message list, as bytes."""
+    arrays = (fit.beta.support, fit.beta.values, fit.d, fit.g, *fit.active_history)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays], fit.iterations,
+            fit.converged, fit.jittered, fit.cycled, repr(fit.rel_loss), fit.inner_rounds)
+
+
+def anchor_checks(entries, inner_rounds, workers):
+    """Ledger positions of the verification anchor round of each root find
+    that ran rounds in an anchor-checked CESDAR run: the round just before
+    the iteration's dual exchange."""
+    drop = []
+    for k, rounds in enumerate(inner_rounds, 1):
+        if rounds:
+            dual = next(i for i, e in enumerate(entries)
+                        if e.iteration == k and e.kind == "BroadcastActiveSet")
+            drop.extend(range(dual - 2 * workers, dual))
+    return drop
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 400), p=st.integers(2, 60), machines=st.integers(2, 6),
+       sparsity=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(n=300, p=40, machines=3, sparsity=4, seed=10)
+def test_dual_check_equals_anchor_check_less_one_round(n, p, machines, sparsity, seed):
+    # CESDAR checks each surrogate solve on the dual exchange that follows
+    # it. Against a run checked by one more anchor exchange, every fit field
+    # is bitwise the same, and the ledger and message list lose exactly the
+    # verification anchor round of each root find that ran rounds.
+    assume(sparsity <= p and n // machines >= 2 * sparsity)
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity, seed=seed))
+    cfg = SolverConfig(sparsity=sparsity)
+    fit = cesdar_fit(data, machines, cfg, cluster=SimulatedCluster(data, machines,
+                                                                   log_messages=True))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_module._ClusterEngine, "check", lambda self, active: None)
+        reference = cesdar_fit(data, machines, cfg,
+                               cluster=SimulatedCluster(data, machines, log_messages=True))
+    assert fit_fields(fit) == fit_fields(reference)
+    workers = machines - 1
+    drop = anchor_checks(reference.ledger.entries, reference.inner_rounds, workers)
+    checks = sum(rounds > 0 for rounds in reference.inner_rounds)
+    assert [reference.ledger.entries[i].kind for i in drop] == \
+        checks * (["BroadcastAnchor"] * workers + ["ReportGradient"] * workers)
+    keep = [i for i in range(len(reference.ledger.entries)) if i not in set(drop)]
+    assert fit.ledger.entries == [reference.ledger.entries[i] for i in keep]
+    assert fit.messages == [reference.messages[i] for i in keep]
+
+
+def test_failed_dual_check_continues_to_the_oracle():
+    # The first dual check answers 1e6 times the true gradient, so it fails:
+    # the solve goes on from the checked point until a later dual check
+    # passes. The dual the loop then uses is that of the returned iterate,
+    # and every dual exchange but the zero point's is a check.
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=16))
+    machines, sparsity = 4, 4
+    original, duals, answers = cluster_module._ClusterEngine.check, [], []
+
+    def scaled_once(self, active):
+        exchange = original(self, active)
+
+        def check(point):
+            answer = exchange(point)
+            answers.append(answer)
+            return answer * 1e6 if len(answers) == 1 else answer
+        return check
+
+    def recorded(self, beta):
+        dual = original_dual(self, beta)
+        duals.append((beta, dual))
+        return dual
+
+    original_dual = cluster_module._ClusterEngine.raw_dual
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_module._ClusterEngine, "check", scaled_once)
+        patch.setattr(cluster_module._ClusterEngine, "raw_dual", recorded)
+        fit = cesdar_fit(data, machines, SolverConfig(sparsity=sparsity))
+    first = [e.kind for e in fit.ledger.entries if e.iteration == 1]
+    assert first.count("BroadcastActiveSet") >= 2 * (machines - 1)
+    dual_rounds = sum(e.kind == "BroadcastActiveSet" for e in fit.ledger.entries)
+    assert dual_rounds == (machines - 1) * (len(answers) + 1)
+    assert fit.converged
+    oracle, _ = root_find_local(data, fit.beta.support)
+    assert np.abs(fit.beta.values - oracle.values).max() <= 1e-9 * np.abs(oracle.values).max()
+    assert len(duals) == fit.iterations + 1
+    for beta, dual in duals:
+        fresh = SimulatedCluster(data, machines).raw_dual(beta)
+        assert dual.tobytes() == fresh.tobytes()
 
 
 def test_ledger_byte_sizes_recomputable():

@@ -11,7 +11,9 @@ and what ``load_cache`` reads back from them; and ``ingest``: what
 ``ingest_csv`` makes of a fixed CSV (numeric columns, two categoricals, three
 noise columns) with and without standardizing and dropping the first level,
 and the CSDR1 bytes of both halves of each ``split`` of it, or the ``repr``
-of the error the split raises.
+of the error the split raises. ``estimates`` hashes every fit above, the
+ESDAR, CESDAR, ECESDAR and path-point fits, without its ledger and message
+log, so it shows whether a change moved an estimate or only the traffic.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
 
@@ -113,7 +115,7 @@ def ingest_digest(scratch: Path, h) -> None:
 
 
 def digests(scratch: Path) -> dict:
-    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest")
+    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest", "estimates")
     out = {kind: hashlib.sha256() for kind in kinds}
     ingest_digest(scratch, out["ingest"])
     for data in cache_datasets():
@@ -128,11 +130,13 @@ def digests(scratch: Path) -> dict:
         if 1 in machine_counts:
             esdar = esdar_fit(data, cfg)
             out["esdar"].update(fit_record(esdar).encode())
+            out["estimates"].update(repr(fit_fields(esdar)).encode())
         for machines in machine_counts:
             for kind, fitter in (("cesdar", cesdar_fit), ("ecesdar", ecesdar_fit)):
                 cluster = SimulatedCluster(data, machines, log_messages=True)
                 fit = fitter(data, machines, cfg, cluster=cluster)
                 out[kind].update(fit_record(fit).encode())
+                out["estimates"].update(repr(fit_fields(fit)).encode())
                 if machines == 1 and repr(fit_fields(fit)) != repr(fit_fields(esdar)):
                     raise SystemExit(f"{kind} at M=1 differs from ESDAR on shape "
                                      f"(n, p, s, T, seed) = {shape}")
@@ -145,6 +149,7 @@ def digests(scratch: Path) -> dict:
         for point in path:
             out["acesdar"].update(repr((point.sparsity, point.hbic, point.loss)).encode())
             out["acesdar"].update(fit_record(point.fit).encode())
+            out["estimates"].update(repr(fit_fields(point.fit)).encode())
     bench = scratch / "bench"
     result = CliRunner().invoke(main, [
         "bench", "--example", "2", "--scale", "0.06", "--replicates", "2", "--seed", "3",
@@ -159,4 +164,4 @@ def digests(scratch: Path) -> dict:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for kind, digest in digests(Path(tmp)).items():
-            print(f"{kind:8} {digest}")
+            print(f"{kind:9} {digest}")
