@@ -94,6 +94,7 @@ class Dataset:
         self._curvature = None
         self._column_slot = self._column_rows = None  # see columns
         self._column_count = 0
+        self._last_key = self._last_block = None
         if _validate:
             self._validate()
 
@@ -150,8 +151,20 @@ class Dataset:
         columns, whose pages are touched only as its rows fill; past that,
         columns not yet held are read from X, as are all columns of an X
         narrower than ``COLUMN_CACHE_MIN_COLUMNS``.
+
+        In front of that cache, the last block returned is kept, read-only,
+        for any width of X: a machine asks for one active set's block for
+        its normal equations and again for its residual there.
         """
         cols = np.asarray(cols, dtype=np.int64)
+        key = cols.tobytes()
+        if key != self._last_key:
+            block = self._gather(cols)
+            block.flags.writeable = False
+            self._last_key, self._last_block = key, block
+        return self._last_block
+
+    def _gather(self, cols: np.ndarray) -> np.ndarray:
         if cols.size == 0 or self.p < COLUMN_CACHE_MIN_COLUMNS:
             return self.x[:, cols]
         if self._column_slot is None:
