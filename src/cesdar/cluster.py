@@ -19,7 +19,7 @@ Per outer iteration on active set A:
 
 * root finding: the master starts at its local least squares on A and
   runs conjugate gradient on the full-sample normal equations,
-  preconditioned by the master-shard Gram, until the sample-weighted
+  preconditioned by the shifted master-shard Gram, until the sample-weighted
   global gradient vanishes on A. Each exchange broadcasts a point
   (BroadcastAnchor, |A| indices + |A| reals) and collects local gradients
   there (ReportGradient, |A| reals): one at the start and one per conjugate
@@ -376,20 +376,21 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     exchanges at the start point. Each step solves z = (H1 + mu I)^-1 r for
     the current gradient r, preconditioned as in DiSCO with
     mu = SURROGATE_SHIFT * tr(H1)/|A|, then exchanges at x + p, which gives
-    G p = grad(x + p) - r; in exact arithmetic at most |A| steps are needed. The recurrence gradient drifts, so once it passes
-    the stop test one more exchange, ``check(x)``, returns the true
-    gradient at x (a failed check restarts from x with it). The default
-    check is one more anchor exchange; a caller may pass another exchange
-    that yields the same gradient. Every exchange follows one H1 solve,
-    the unused one before a check too, so ``rounds`` = solves - 1, and the
-    anchor exchanges number rounds + 1 with the default check, or rounds
-    when a check of another kind passes at once.
+    G p = grad(x + p) - r; in exact arithmetic at most |A| steps are
+    needed. The recurrence gradient drifts, so once it passes the stop
+    test one more exchange, ``check(x)``, returns the true gradient at x (a
+    failed check restarts from x with it). The default check is one more
+    anchor exchange; a caller may pass another exchange that yields the
+    same gradient. Every exchange follows one solve, the unused one before
+    a check too, so ``rounds`` = solves - 1. The anchor exchanges number
+    rounds + 1 with the default check; with a check of another kind that
+    passes at once they number rounds (1 if no round ran).
 
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
     for the start point, and the shifted Gram still preconditions G, so the
     solve converges to the full-sample least squares, flagged ``jittered``
-    (so is the fit). With no remote
-    worker (M=1) it returns the master's least squares after 0 rounds.
+    (so is the fit). With no remote worker (M=1) it returns the master's
+    least squares after 0 rounds.
 
     Returns (coefficients, jittered, rounds, converged).
     """
