@@ -149,23 +149,23 @@ class Dataset:
         contiguous row of a cache and later gathers read only those rows.
         The cache is one buffer allocated at its bound, an eighth of X's
         columns, whose pages are touched only as its rows fill; past that,
-        columns not yet held are read from X, as are all columns of an X
-        narrower than ``COLUMN_CACHE_MIN_COLUMNS``.
+        columns not yet held are read from X.
 
-        In front of that cache, the last block returned is kept, read-only,
-        for any width of X: a machine asks for one active set's block for
-        its normal equations and again for its residual there.
+        An X narrower than ``COLUMN_CACHE_MIN_COLUMNS``, where a gather
+        reads almost every row's cache lines, keeps instead the last block
+        it returned, read-only: a machine asks for one active set's block
+        for its normal equations and again for its residual there. (Kept
+        on wide X as well, that block raised the ACESDAR path benchmark's
+        peak RSS by 1-8 MB and saved little behind the packed cache.)
         """
         cols = np.asarray(cols, dtype=np.int64)
-        key = cols.tobytes()
-        if key != self._last_key:
-            block = self._gather(cols)
-            block.flags.writeable = False
-            self._last_key, self._last_block = key, block
-        return self._last_block
-
-    def _gather(self, cols: np.ndarray) -> np.ndarray:
-        if cols.size == 0 or self.p < COLUMN_CACHE_MIN_COLUMNS:
+        if self.p < COLUMN_CACHE_MIN_COLUMNS:
+            key = cols.tobytes()
+            if key != self._last_key:
+                self._last_key, self._last_block = key, self.x[:, cols]
+                self._last_block.flags.writeable = False
+            return self._last_block
+        if cols.size == 0:
             return self.x[:, cols]
         if self._column_slot is None:
             self._column_slot = np.full(self.p, -1, dtype=np.int64)
