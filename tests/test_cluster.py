@@ -189,7 +189,7 @@ def test_surrogate_empty_active_set():
 @example(size=12, spare_rows=0, spare_cols=28, machines=8, seed=0)
 def test_surrogate_conjugate_gradient_property(size, spare_rows, spare_cols, machines, seed):
     # Shards of |A| rows and more, so the master-shard Gram can be barely
-    # regular. Each exchange follows one master-Gram solve: the benchmark
+    # regular. Each exchange follows one spd_solve call: the benchmark
     # reconciles its surrogate rounds on that count.
     p = size + spare_cols
     data, _ = generate(SyntheticSpec(n=machines * (size + spare_rows), p=p,
@@ -374,7 +374,8 @@ def test_dual_check_equals_anchor_check_less_one_round(n, p, machines, sparsity,
     checks = sum(rounds > 0 for rounds in reference.inner_rounds)
     assert [reference.ledger.entries[i].kind for i in drop] == \
         checks * (["BroadcastAnchor"] * workers + ["ReportGradient"] * workers)
-    keep = [i for i in range(len(reference.ledger.entries)) if i not in set(drop)]
+    dropped = set(drop)
+    keep = [i for i in range(len(reference.ledger.entries)) if i not in dropped]
     assert fit.ledger.entries == [reference.ledger.entries[i] for i in keep]
     assert fit.messages == [reference.messages[i] for i in keep]
 
@@ -386,7 +387,8 @@ def test_failed_dual_check_continues_to_the_oracle():
     # and every dual exchange but the zero point's is a check.
     data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=16))
     machines, sparsity = 4, 4
-    original, duals, answers = cluster_module._ClusterEngine.check, [], []
+    engine = cluster_module._ClusterEngine
+    original, original_dual, duals, answers = engine.check, engine.raw_dual, [], []
 
     def scaled_once(self, active):
         exchange = original(self, active)
@@ -402,10 +404,9 @@ def test_failed_dual_check_continues_to_the_oracle():
         duals.append((beta, dual))
         return dual
 
-    original_dual = cluster_module._ClusterEngine.raw_dual
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cluster_module._ClusterEngine, "check", scaled_once)
-        patch.setattr(cluster_module._ClusterEngine, "raw_dual", recorded)
+        patch.setattr(engine, "check", scaled_once)
+        patch.setattr(engine, "raw_dual", recorded)
         fit = cesdar_fit(data, machines, SolverConfig(sparsity=sparsity))
     first = [e.kind for e in fit.ledger.entries if e.iteration == 1]
     assert first.count("BroadcastActiveSet") >= 2 * (machines - 1)
