@@ -1,11 +1,11 @@
 """Simulated M-machine cluster with exact per-message byte accounting.
 
 Machine 0 is the master and owns the first shard; machines 1..M-1 are
-workers that communicate with the master only through WorkerMessage values.
-A broadcast is built, audited and decoded once, then moved to each worker in
-order, which answers it; each reply is audited and moved once. Every move is
-one ledger row. No worker ever sees another shard, and no message ever
-carries row data: payloads are |A|-length or p-length aggregate vectors.
+workers that talk to the master only in the six message kinds. A broadcast
+is decoded once and moved to each worker in order, which answers it. Every
+move is one ledger row and one payload audited by its sizes; a WorkerMessage
+is built only when logging. No worker sees another shard, and payloads are
+|A|- or p-length aggregates, never row data.
 
 Protocol
 --------
@@ -120,18 +120,13 @@ class WorkerMessage:
     def __post_init__(self):
         if self.kind not in PROTOCOL_SHAPES:
             raise ValueError(f"unknown message kind {self.kind!r}")
-        indices = np.asarray(self.indices, dtype=np.int64)
-        reals = np.asarray(self.reals, dtype=float)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "reals", reals)
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+        object.__setattr__(self, "reals", np.asarray(self.reals, dtype=float))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WorkerMessage)
-            and self.kind == other.kind
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.reals, other.reals)
-        )
+        return (isinstance(other, WorkerMessage) and self.kind == other.kind
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.reals, other.reals))
 
     __hash__ = None
 
@@ -149,12 +144,17 @@ def message_bytes(n_indices: int, n_reals: int) -> int:
     return HEADER_BYTES + 8 * n_indices + 8 * n_reals
 
 
+def _protocol_sizes(kind: str, p: int, active_size: int) -> tuple:
+    """The one shape rule: a ``kind`` message's (indices, reals) sizes on p, |A|."""
+    size = {"none": 0, "active": active_size if active_size <= p else -1, "p": p}
+    return tuple(size[shape] for shape in PROTOCOL_SHAPES[kind])
+
+
 def _audit_shape(message: WorkerMessage, p: int, active_size: int) -> None:
     """Runtime privacy audit: only aggregate vectors cross machines."""
-    for shape, size in zip(PROTOCOL_SHAPES[message.kind], (message.n_indices, message.n_reals)):
-        if size != (0 if shape == "none" else active_size if shape == "active" else p) or size > p:
-            raise ValueError(f"{message.kind} with {message.n_indices} indices and "
-                             f"{message.n_reals} reals is off protocol")
+    if (message.n_indices, message.n_reals) != _protocol_sizes(message.kind, p, active_size):
+        raise ValueError(f"{message.kind} with {message.n_indices} indices and "
+                         f"{message.n_reals} reals is off protocol")
 
 
 class LedgerEntry(NamedTuple):
@@ -174,9 +174,9 @@ class CommLedger:
         self.entries: list[LedgerEntry] = []
 
     def record(self, iteration, kind, direction, n_indices, n_reals, worker) -> None:
-        self.entries.append(LedgerEntry(iteration, kind, direction,
-                                        message_bytes(n_indices, n_reals),
-                                        n_indices, n_reals, worker))
+        self.entries.append(tuple.__new__(LedgerEntry, (  # LedgerEntry(...) minus its __new__
+            iteration, kind, direction, message_bytes(n_indices, n_reals),
+            n_indices, n_reals, worker)))
 
     def total_bytes(self, direction=None) -> int:
         return sum(e.byte_size for e in self.entries
@@ -233,16 +233,20 @@ class _RemoteWorker:
         self.failed = False
         self._normal_key = self._normal = None
 
-    def answer(self, message: WorkerMessage, iterate: SparseCoefficients | None):
-        """The reply's reals: the gradient at an anchor, the raw dual at
-        ``iterate`` (the decoded BroadcastActiveSet), nothing to BroadcastFinal."""
-        if message.kind == "BroadcastAnchor":
-            key = message.indices.tobytes()  # the index content, not just |A|
+    def unavailable(self) -> WorkerUnavailableError:
+        return WorkerUnavailableError(f"worker {self.worker_id} is unavailable (fail-stop)",
+                                      worker=self.worker_id)
+
+    def answer(self, kind: str, indices: np.ndarray, reals: np.ndarray, iterate):
+        """The reply's reals to a ``kind`` broadcast: the gradient at an anchor, the
+        raw dual at ``iterate`` (the decoded BroadcastActiveSet), nothing to BroadcastFinal."""
+        if kind == "BroadcastAnchor":
+            key = indices.tobytes()  # the index content, not just |A|
             if key != self._normal_key:
-                self._normal_key, self._normal = key, normal_equations(self.shard, message.indices)
+                self._normal_key, self._normal = key, normal_equations(self.shard, indices)
             gram, rhs = self._normal
-            return gram @ message.reals - rhs
-        if message.kind == "BroadcastActiveSet":
+            return gram @ reals - rhs
+        if kind == "BroadcastActiveSet":
             return residual_correlation(self.shard, iterate)
         return None
 
@@ -279,42 +283,34 @@ class SimulatedCluster:
     def p(self) -> int:
         return self.data.p
 
-    def _transfer(self, worker: _RemoteWorker, direction: str, message) -> WorkerMessage:
-        """Move one message between the master and ``worker``: fail-stop check,
-        ledger row, log entry. A reply comes as the function that builds it
-        from the worker, so a down worker is asked nothing."""
-        if worker.failed:
-            raise WorkerUnavailableError(f"worker {worker.worker_id} is unavailable (fail-stop)",
-                                         worker=worker.worker_id)
-        if callable(message):
-            message = message(worker)
-        self.ledger.record(self.iteration, message.kind, direction,
-                           message.n_indices, message.n_reals, worker.worker_id)
-        if self.messages is not None:
-            self.messages.append(message)
-        return message
-
     def _collect(self, kind: str, active_size: int, answer=None) -> list[np.ndarray]:
-        """Every worker's ``kind`` reply reals in worker order, each audited and
-        moved once: ``answer(worker)``, or else the answers of the last
-        broadcast, which must have asked for ``kind``."""
+        """Each worker's ``kind`` reply in order, audited and recorded: ``answer(worker)``,
+        or else the answers of the last broadcast, which must have asked for ``kind``."""
         if answer is None:
             if self._pending is None or self._pending[0] != kind:
                 raise ValueError(f"no broadcast asked for a {kind} reply")
             answer, self._pending = self._pending[1], None
-
-        def reply(worker):
-            message = WorkerMessage(kind, _NO_INDICES, answer(worker))
-            _audit_shape(message, self.p, active_size)
-            return message
-        return [self._transfer(w, WORKER_TO_MASTER, reply).reals for w in self.workers]
+        want = _protocol_sizes(kind, self.p, active_size)
+        replies = []
+        for worker in self.workers:
+            if worker.failed:  # a down worker is asked nothing
+                raise worker.unavailable()
+            reals = np.asarray(answer(worker), dtype=float)
+            if (0, reals.size) != want:  # raises the audit's off-protocol error
+                _audit_shape(WorkerMessage(kind, _NO_INDICES, reals), self.p, active_size)
+            self.ledger.record(self.iteration, kind, WORKER_TO_MASTER, 0, reals.size,
+                               worker.worker_id)
+            if self.messages is not None:
+                self.messages.append(WorkerMessage(kind, _NO_INDICES, reals))
+            replies.append(reals)
+        return replies
 
     def combine(self, master_share: np.ndarray, replies) -> np.ndarray:
-        """n_0/N * master_share + sum_m n_m/N * reply_m, added in machine
-        order: the full-sample value of a per-machine mean."""
-        for m, share in enumerate((master_share, *replies)):
-            term = self.weights[m] * share
-            total = term if m == 0 else total + term
+        """n_0/N * master_share + sum_m n_m/N * reply_m, added in place in
+        machine order: the full-sample value of a per-machine mean."""
+        total = self.weights[0] * master_share
+        for weight, share in zip(self.weights[1:], replies):
+            total += weight * share
         return total
 
     def broadcast(self, kind: str, indices: np.ndarray, reals: np.ndarray) -> None:
@@ -322,14 +318,21 @@ class SimulatedCluster:
         keep their answers for the collect of its reply kind."""
         if kind not in _REPLY_KINDS:
             raise ValueError(f"{kind} is not a broadcast kind")
-        message = WorkerMessage(kind, indices, reals)
-        _audit_shape(message, self.p, message.n_indices)
-        iterate = (SparseCoefficients(self.p, message.indices, message.reals)
+        indices, reals = np.asarray(indices, dtype=np.int64), np.asarray(reals, dtype=float)
+        if (indices.size, reals.size) != _protocol_sizes(kind, self.p, indices.size):
+            _audit_shape(WorkerMessage(kind, indices, reals), self.p, indices.size)
+        iterate = (SparseCoefficients(self.p, indices, reals)
                    if kind == "BroadcastActiveSet" else None)
+        message = None if self.messages is None else WorkerMessage(kind, indices, reals)
         answers = {}
         for worker in self.workers:
-            self._transfer(worker, MASTER_TO_WORKER, message)
-            answers[worker] = worker.answer(message, iterate)
+            if worker.failed:  # a down worker is asked nothing
+                raise worker.unavailable()
+            self.ledger.record(self.iteration, kind, MASTER_TO_WORKER, indices.size, reals.size,
+                               worker.worker_id)
+            if message is not None:
+                self.messages.append(message)
+            answers[worker] = worker.answer(kind, indices, reals, iterate)
         self._pending = _REPLY_KINDS[kind], answers.__getitem__
 
     def collect_gradients(self, active: np.ndarray) -> list[np.ndarray]:

@@ -555,10 +555,19 @@ class _FileReader:
             raise IngestError(f"{self.path}: the file shrank while it was read")
         self.handle = io.BytesIO(rest)
 
-    def bytes(self, size: int) -> bytes:
-        """The next ``size`` bytes of the rest that ``buffer_rest`` read."""
-        self.take(size)
-        return self.handle.read(size)
+    def names(self, count: int) -> list[str]:
+        """The next ``count`` length-prefixed UTF-8 names of the buffered rest, at one offset."""
+        rest, start, u32 = self.handle.getvalue(), self.handle.tell(), struct.Struct("<I")
+        names, pos, size = [], start, len(rest)
+        for _ in range(count):
+            end = pos + 4 + (u32.unpack_from(rest, pos)[0] if pos + 4 <= size else 0)
+            if end > size:  # the error a read of the cut field raises
+                self.take(end - start)
+            names.append(rest[pos + 4:end].decode("utf-8"))
+            pos = end
+        self.take(pos - start)
+        self.handle.seek(pos)
+        return names
 
     def take(self, size: int) -> None:
         """Count the next ``size`` bytes as read; IngestError if the file ends first."""
@@ -589,11 +598,8 @@ def load_cache(path) -> Dataset:
             raise IngestError(f"{path}: the cache holds no rows")
         x, y = reader.read(n, p, dtype="<f8"), reader.read(n, dtype="<f8")
         reader.buffer_rest()  # the names and the scaling block
-        (count,) = struct.unpack("<I", reader.bytes(4))
-        names = []
-        for _ in range(count):
-            (length,) = struct.unpack("<I", reader.bytes(4))
-            names.append(reader.bytes(length).decode("utf-8"))
+        (count,) = struct.unpack("<I", reader.read(4))
+        names = reader.names(count)
         standardized = reader.read(1)[0] == 1
         means = scales = None
         if standardized:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -65,6 +66,30 @@ def test_partition_too_many_machines():
 
 
 # --- reduction and symmetry -------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(machines=st.integers(1, 130), length=st.integers(1, 60), extra=st.integers(0, 400),
+       seed=st.integers(0, 2**32 - 1))
+@example(machines=130, length=60, extra=129, seed=0)
+@example(machines=1, length=1, extra=0, seed=0)
+def test_combine_is_the_sequential_sum_bit_for_bit(machines, length, extra, seed):
+    # combine accumulates in place in machine order, so it must give the
+    # bits of term_0 + term_1 + ... written left to right, term_m = w_m *
+    # share_m (a batched np.add.reduce over the stacked shares does not).
+    # Shares span 16 decades and hold zeros of both signs.
+    data = Dataset(np.ones((machines + extra, 1)), np.ones(machines + extra))
+    cluster = SimulatedCluster(data, machines)
+    rng = np.random.default_rng(seed)
+    shares = [rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 8, length)
+              for _ in range(machines)]
+    for share in shares:
+        share[rng.random(length) < 0.1] = rng.choice([0.0, -0.0])
+    want = cluster.weights[0] * shares[0]
+    for weight, share in zip(cluster.weights[1:], shares[1:]):
+        want = want + weight * share
+    got = cluster.combine(shares[0], shares[1:])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_m1_reduction_is_bitwise(seed):
@@ -524,6 +549,50 @@ def test_collect_without_its_broadcast_is_error():
         cluster.collect_gradients(active)
 
 
+@pytest.mark.parametrize("kind", ["ReportGradient", "ReportDual"])
+@pytest.mark.parametrize("bad", [1, 3])
+def test_live_audit_rejects_an_off_protocol_reply(monkeypatch, kind, bad):
+    # One worker answers an anchor with |A| + 1 reals, or a dual with p - 1:
+    # the collect raises the shape rule's text at that reply and records no
+    # row for it; the workers before it are audited and recorded as usual.
+    data, _ = generate(SyntheticSpec(n=200, p=12, s=2, seed=16))
+    active = np.array([1, 4, 9])
+    cluster = SimulatedCluster(data, 4)
+    worker = cluster.workers[bad - 1]
+    original = worker.answer
+
+    def off_protocol(*args):
+        reals = original(*args)
+        return np.append(reals, 1.0) if kind == "ReportGradient" else reals[:-1]
+    monkeypatch.setattr(worker, "answer", off_protocol)
+    if kind == "ReportGradient":
+        broadcast, n_reals = ("BroadcastAnchor", active, np.ones(3)), active.size + 1
+    else:
+        broadcast, n_reals = ("BroadcastActiveSet", active, np.ones(3)), data.p - 1
+    cluster.broadcast(*broadcast)
+    sent = list(cluster.ledger.entries)
+    assert [(e.kind, e.worker) for e in sent] == [(broadcast[0], w) for w in (1, 2, 3)]
+    with pytest.raises(ValueError) as audit:
+        cluster.collect_gradients(active) if kind == "ReportGradient" else cluster.collect_duals()
+    assert str(audit.value) == f"{kind} with 0 indices and {n_reals} reals is off protocol"
+    replies = cluster.ledger.entries[len(sent):]
+    assert [(e.kind, e.worker, e.n_reals) for e in replies] == \
+        [(kind, w, active.size if kind == "ReportGradient" else data.p) for w in range(1, bad)]
+
+
+def test_live_audit_rejects_an_off_protocol_broadcast():
+    # A broadcast is audited by its sizes before any worker is reached.
+    data, _ = generate(SyntheticSpec(n=100, p=10, s=2, seed=15))
+    cluster = SimulatedCluster(data, 3, log_messages=True)
+    for kind, indices, reals in (("BroadcastAnchor", [1, 4], np.ones(3)),
+                                 ("BroadcastFinal", np.arange(11), np.ones(11))):
+        with pytest.raises(ValueError) as audit:
+            cluster.broadcast(kind, indices, reals)
+        assert str(audit.value) == \
+            f"{kind} with {len(indices)} indices and {len(reals)} reals is off protocol"
+    assert cluster.ledger.entries == [] and cluster.messages == []
+
+
 # --- failure and logging ------------------------------------------------------
 
 @pytest.mark.parametrize("failed", [1, 3], ids=["first_worker", "last_worker"])
@@ -541,6 +610,78 @@ def test_worker_failure_is_fail_stop(fit, first_kind, failed):
     assert err.value.worker == failed
     assert [(e.kind, e.worker) for e in cluster.ledger.entries] == \
         [(first_kind, worker) for worker in range(1, failed)]
+
+
+@pytest.mark.parametrize("failed", [1, 2, 3])
+def test_down_worker_is_never_asked(monkeypatch, failed):
+    # Every exchange stops at the down worker before it is asked: no answer
+    # call, no curvature computed on its shard, no ledger row, no log entry.
+    data, _ = generate(SyntheticSpec(n=120, p=10, s=2, seed=15))
+    cluster = SimulatedCluster(data, 4, fail_worker=failed, log_messages=True)
+    asked, curvatures = [], []
+    answer, curvature = cluster_module._RemoteWorker.answer, Dataset.column_curvature
+
+    def counted_answer(worker, *args):
+        asked.append(worker.worker_id)
+        return answer(worker, *args)
+
+    def counted_curvature(shard):
+        curvatures.append(shard)
+        return curvature(shard)
+    monkeypatch.setattr(cluster_module._RemoteWorker, "answer", counted_answer)
+    monkeypatch.setattr(Dataset, "column_curvature", counted_curvature)
+    active = np.array([2, 5])
+    for kind in ("BroadcastAnchor", "BroadcastActiveSet", "BroadcastFinal"):
+        asked.clear()
+        start = len(cluster.ledger.entries)
+        with pytest.raises(WorkerUnavailableError, match=f"worker {failed} is unavailable"):
+            cluster.broadcast(kind, active, np.ones(2))
+        assert asked == list(range(1, failed))
+        assert [e.worker for e in cluster.ledger.entries[start:]] == list(range(1, failed))
+    with pytest.raises(WorkerUnavailableError):
+        cluster.collect_curvature()
+    down = cluster.workers[failed - 1].shard
+    assert all(shard is not down for shard in curvatures)
+    assert len(curvatures) == failed - 1
+    assert all(e.worker != failed for e in cluster.ledger.entries)
+    assert len(cluster.messages) == len(cluster.ledger.entries)
+
+
+def _fit_fields(fit):
+    """Every FitResult field but the ledger and the message list, arrays by
+    dtype, shape and bytes, scalars by repr."""
+    out = []
+    for f in dataclasses.fields(fit):
+        value = getattr(fit, f.name)
+        if f.name == "beta":
+            value = [value.support, value.values]
+        elif f.name in ("ledger", "messages"):
+            continue
+        arrays = value if isinstance(value, list) else [value]
+        out.append((f.name, [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray)
+                             else repr(a) for a in arrays]))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(20, 300), p=st.integers(2, 40), machines=st.integers(2, 6),
+       sparsity=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_logging_changes_only_the_message_list(n, p, machines, sparsity, seed):
+    # A cluster that logs builds a WorkerMessage per move; one that does not
+    # builds none. Ledger rows and every fit field are the same either way.
+    assume(sparsity <= p and n >= machines)
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=1, seed=seed))
+    cfg = SolverConfig(sparsity=sparsity)
+    for fitter in (cesdar_fit, ecesdar_fit):
+        logged = fitter(data, machines, cfg, cluster=SimulatedCluster(data, machines,
+                                                                       log_messages=True))
+        silent = fitter(data, machines, cfg, cluster=SimulatedCluster(data, machines))
+        assert silent.messages is None and len(logged.messages) == len(logged.ledger.entries)
+        assert logged.ledger.entries == silent.ledger.entries
+        assert _fit_fields(logged) == _fit_fields(silent)
+        for message, entry in zip(logged.messages, logged.ledger.entries):
+            assert (message.kind, message.n_indices, message.n_reals) == \
+                (entry.kind, entry.n_indices, entry.n_reals)
 
 
 def test_master_shard_zero_column():
