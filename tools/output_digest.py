@@ -14,6 +14,10 @@ and the CSDR1 bytes of both halves of each ``split`` of it, or the ``repr``
 of the error the split raises. ``estimates`` hashes every fit above, the
 ESDAR, CESDAR, ECESDAR and path-point fits, without its ledger and message
 log, so it shows whether a change moved an estimate or only the traffic.
+``errors`` hashes the outcome, ``loads`` or the exception's type and message
+(the file's path replaced by ``<path>``), of ``load_cache`` on every cut,
+three appended tails and every byte set to 0xFF of two caches, and of
+``ingest_csv`` on a fixed list of malformed CSVs.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
 
@@ -25,6 +29,7 @@ import csv
 import hashlib
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -114,10 +119,70 @@ def ingest_digest(scratch: Path, h) -> None:
                     h.update((scratch / "half.bin").read_bytes())
 
 
+def probe_caches():
+    """The caches the ``errors`` probe corrupts: a standardized 4x4 one with
+    an empty and a non-ASCII name, and a plain 4x2 one."""
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal((4, 4)), rng.standard_normal(4)
+    yield Dataset(x, y, ["", "\u00e9t\u00e9", "x2", "beta"], standardized=True,
+                  column_means=rng.standard_normal(4), column_scales=rng.uniform(0.5, 2.0, 4),
+                  y_mean=0.25, y_scale=1.5)
+    yield Dataset(x[:, :2], y)
+
+
+def probe_blobs(blob: bytes):
+    """Every cut of a cache's bytes, three appended tails, and every byte set to 0xFF."""
+    for size in range(len(blob)):
+        yield blob[:size]
+    for tail in (b"\x00", b"\x01", b"\xff" * 21):
+        yield blob + tail
+    for at in range(len(blob)):
+        yield blob[:at] + b"\xff" + blob[at + 1:]
+
+
+# (body, response, categorical columns) of each malformed CSV.
+BAD_CSVS = [
+    ("", "y", ()), ("a,y\n", "y", ()), ("a,b\n1,2\n2,3\n", "y", ()),
+    ("a,a,y\n1,2,3\n2,1,4\n", "y", ()), ("a,y\n1,2\n3\n", "y", ()),
+    ("a,y\n1,2\noops,3\n", "y", ()), ("a,y\n1,2\n,3\n", "y", ()),
+    ("a,y\n1,2\nnan,3\n2,4\n", "y", ()), ("a,y\n1,2\ninf,3\n2,4\n", "y", ()),
+    ("a,y\n1,2\n1e400,3\n2,4\n", "y", ()), ("a,y\n1,-Infinity\n2,3\n3,4\n", "y", ()),
+    ("a,y\n1,2\n2,NaN\n3,4\n", "y", ()), ("a,c,y\n1,5,1\n2,5,2\n3,5,3\n", "y", ()),
+    ("a,y\n1,4\n2,4\n", "y", ()), ("y\n1\n2\n", "y", ()),
+    ("c,y\nu,1\nv,2\n", "y", ("y",)), ("c,y\nu,1\nv,2\n", "y", ("d",)),
+]
+
+
+def outcome(load, path: Path) -> bytes:
+    """``loads``, or the type and message of what ``load(path)`` raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load(path)
+    except Exception as exc:  # noqa: BLE001 - a bare Python error is an outcome too
+        return f"{type(exc).__name__}: {exc}\n".replace(str(path), "<path>").encode()
+    return b"loads\n"
+
+
+def errors_digest(scratch: Path, h) -> None:
+    path = scratch / "probe.bin"
+    for data in probe_caches():
+        save_cache(path, data)
+        for blob in list(probe_blobs(path.read_bytes())):
+            path.write_bytes(blob)
+            h.update(outcome(load_cache, path))
+    path = scratch / "bad.csv"
+    for body, response, categorical in BAD_CSVS:
+        path.write_text(body)
+        h.update(outcome(lambda p: ingest_csv(p, response, categorical), path))
+
+
 def digests(scratch: Path) -> dict:
-    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest", "estimates")
+    kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest", "estimates",
+             "errors")
     out = {kind: hashlib.sha256() for kind in kinds}
     ingest_digest(scratch, out["ingest"])
+    errors_digest(scratch, out["errors"])
     for data in cache_datasets():
         save_cache(scratch / "data.bin", data)
         back = load_cache(scratch / "data.bin")
