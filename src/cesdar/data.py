@@ -11,7 +11,6 @@ experiment is replayable from a single integer seed:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -438,47 +437,33 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     if not rows:
         raise IngestError(f"{path}: no data rows")
 
-    col_index = {name: i for i, name in enumerate(header)}
-    categorical = set(categorical_columns)
-    numeric_cols = [c for c in header if c != response_column and c not in categorical]
-
     n = len(rows)
     for rownum, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise IngestError(f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}")
+    cells = dict(zip(header, zip(*rows)))  # column name -> its cells, row by row
 
-    def parse(colname):
-        idx = col_index[colname]
+    def parse(name):
         out = np.empty(n)
-        for rownum, row in enumerate(rows, start=1):
+        for rownum, cell in enumerate(cells[name], start=1):
             try:
-                out[rownum - 1] = float(row[idx])
+                out[rownum - 1] = float(cell)
             except ValueError:
                 raise IngestError(
-                    f"{path}: row {rownum}: cannot parse {colname!r} value {row[idx]!r}"
+                    f"{path}: row {rownum}: cannot parse {name!r} value {cell!r}"
                 ) from None
         return out
 
-    blocks, names = [], []
-    for col in numeric_cols:
-        blocks.append(parse(col))
-        names.append(col)
-
+    names = [c for c in header if c != response_column and c not in categorical_columns]
+    blocks = [parse(c) for c in names]
     for col in categorical_columns:
-        idx = col_index[col]
-        raw = [row[idx] for row in rows]
-        levels = sorted(set(raw))
-        kept = levels[1:] if drop_first and len(levels) > 1 else levels
-        for level in kept:
-            blocks.append(np.array([1.0 if v == level else 0.0 for v in raw]))
+        levels = sorted(set(cells[col]))
+        for level in levels[1:] if drop_first and len(levels) > 1 else levels:
+            blocks.append(np.array([cell == level for cell in cells[col]], dtype=float))
             names.append(f"{col}={level}")
-
     if n_noise_features:
-        rng = stream_rng(noise_seed, "noise")
-        noise = rng.standard_normal((n, int(n_noise_features)))
-        for j in range(int(n_noise_features)):
-            blocks.append(noise[:, j])
-            names.append(f"noise{j + 1}")
+        blocks.append(stream_rng(noise_seed, "noise").standard_normal((n, int(n_noise_features))))
+        names += [f"noise{j + 1}" for j in range(int(n_noise_features))]
     _check_unique(path, names, "two columns of X would be named")
     if not blocks:
         raise IngestError(f"{path}: no feature columns")
@@ -540,75 +525,60 @@ def save_cache(path, data: Dataset) -> None:
             out.write(b"\x00")
 
 
-class _FileReader:
-    """Bounds-checked cursor over an open binary file: each array is read in
-    place once its size fits in what is left of the file."""
-
-    def __init__(self, path, handle):
-        self.path, self.handle, self.off = path, handle, 0
-        self.size = os.fstat(handle.fileno()).st_size
-
-    def buffer_rest(self) -> None:
-        """Read the rest of the file in one call; later reads come from memory."""
-        rest = self.handle.read(self.size - self.off)
-        if len(rest) != self.size - self.off:
-            raise IngestError(f"{self.path}: the file shrank while it was read")
-        self.handle = io.BytesIO(rest)
-
-    def names(self, count: int) -> list[str]:
-        """The next ``count`` length-prefixed UTF-8 names of the buffered rest, at one offset."""
-        rest, start, u32 = self.handle.getvalue(), self.handle.tell(), struct.Struct("<I")
-        names, pos, size = [], start, len(rest)
-        for _ in range(count):
-            end = pos + 4 + (u32.unpack_from(rest, pos)[0] if pos + 4 <= size else 0)
-            if end > size:  # the error a read of the cut field raises
-                self.take(end - start)
-            names.append(rest[pos + 4:end].decode("utf-8"))
-            pos = end
-        self.take(pos - start)
-        self.handle.seek(pos)
-        return names
-
-    def take(self, size: int) -> None:
-        """Count the next ``size`` bytes as read; IngestError if the file ends first."""
-        end = self.off + size
-        if end > self.size:
-            raise IngestError(f"{self.path}: truncated file: expected at least {end} "
-                              f"bytes, found {self.size}")
-        self.off = end
-
-    def read(self, *shape: int, dtype="u1") -> np.ndarray:
-        """The next array of ``shape``, its size checked before it is allocated."""
-        self.take(np.dtype(dtype).itemsize * math.prod(shape))
-        out = np.empty(shape, dtype=dtype)
-        if self.handle.readinto(out) != out.nbytes:
-            raise IngestError(f"{self.path}: the file shrank while it was read")
-        return out
-
-
 def load_cache(path) -> Dataset:
-    """Inverse of save_cache; the round trip is bit exact."""
+    """Inverse of save_cache; the round trip is bit exact.
+
+    X and y are read in place once their sizes fit in the file, then the
+    rest of the file in one read, whose name table and scaling block are
+    walked at the same offset; a cut file names the end of the first
+    section it cuts."""
     with open(path, "rb") as handle:
-        reader = _FileReader(path, handle)
+        size, off = os.fstat(handle.fileno()).st_size, 0
+
+        def take(count: int) -> int:
+            """Count the next ``count`` bytes as read and return where they
+            start; IngestError if the file ends first."""
+            nonlocal off
+            off += count
+            if off > size:
+                raise IngestError(f"{path}: truncated file: expected at least {off} "
+                                  f"bytes, found {size}")
+            return off - count
+
+        def read(dtype, *shape) -> np.ndarray:
+            take(np.dtype(dtype).itemsize * math.prod(shape))
+            out = np.empty(shape, dtype=dtype)
+            if handle.readinto(out) != out.nbytes:
+                raise IngestError(f"{path}: the file shrank while it was read")
+            return out
+
         if handle.read(5) != CACHE_MAGIC:
             raise IngestError(f"{path}: not a dataset cache (bad magic)")
-        reader.take(5)
-        n, p = struct.unpack("<QQ", reader.read(16))
+        take(5)
+        n, p = (int(dim) for dim in read("<u8", 2))
         if n < 1:
             raise IngestError(f"{path}: the cache holds no rows")
-        x, y = reader.read(n, p, dtype="<f8"), reader.read(n, dtype="<f8")
-        reader.buffer_rest()  # the names and the scaling block
-        (count,) = struct.unpack("<I", reader.read(4))
-        names = reader.names(count)
-        standardized = reader.read(1)[0] == 1
-        means = scales = None
-        if standardized:
-            means, scales = reader.read(p, dtype="<f8"), reader.read(p, dtype="<f8")
-        y_mean = y_scale = None
-        if reader.read(1)[0] == 1:
-            y_mean, y_scale = struct.unpack("<dd", reader.read(16))
-        if reader.off < reader.size:
-            raise IngestError(f"{path}: {reader.size - reader.off} bytes after the cache's end")
+        x, y = read("<f8", n, p), read("<f8", n)
+        start, rest = off, handle.read(size - off)  # the names and the scaling block
+        if len(rest) != size - off:
+            raise IngestError(f"{path}: the file shrank while it was read")
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, rest, take(struct.calcsize(fmt)) - start)
+
+    names = []
+    for _ in range(unpack("<I")[0]):
+        (length,) = unpack("<I")
+        names.append(unpack(f"{length}s")[0].decode("utf-8"))
+    standardized = unpack("B")[0] == 1
+    means = scales = None
+    if standardized:
+        means, scales = np.array(unpack(f"<{p}d")), np.array(unpack(f"<{p}d"))
+    y_mean = y_scale = None
+    if unpack("B")[0] == 1:
+        y_mean, y_scale = unpack("<dd")
+    if off < size:
+        raise IngestError(f"{path}: {size - off} bytes after the cache's end")
     return Dataset(x, y, names, standardized=standardized,
                    column_means=means, column_scales=scales,
                    y_mean=y_mean, y_scale=y_scale)
