@@ -61,12 +61,13 @@ def stream_rng(seed: int, kind: str) -> np.random.Generator:
 class Dataset:
     """Dense design matrix X (n x p) with response y and column names.
 
-    Rejects zero rows, non-finite entries and columns whose curvature is
-    zero or overflows at construction in one pass over X, scanning X
-    entrywise only when a curvature is not finite, so the solvers never
-    re-validate; shards carry only their rows and names. ``column_curvature``
-    (squared column norms over n) is cached, as are the columns ``columns``
-    has gathered; neither depends on an iterate, and X is never mutated.
+    Rejects zero rows, zero columns, non-finite entries and columns whose
+    curvature is zero or overflows at construction in one pass over X,
+    scanning X entrywise only when a curvature is not finite, so the solvers
+    never re-validate; shards carry only their rows and names.
+    ``column_curvature`` (squared column norms over n) is cached, as are the
+    columns ``columns`` has gathered; neither depends on an iterate, and X
+    is never mutated.
     """
 
     def __init__(self, x, y, feature_names=None, standardized=False,
@@ -100,6 +101,8 @@ class Dataset:
     def _validate(self):
         if self.n < 1:  # the curvature would be 0/0
             raise ValueError(f"dataset has no rows: X {self.x.shape}")
+        if self.p < 1:  # no fit has a column to select
+            raise ValueError(f"dataset has no columns: X {self.x.shape}")
         # A NaN or inf entry makes its column's curvature NaN or inf (as can a
         # finite 1e200, by overflow), so only then is X scanned entry by entry.
         curvature = self.column_curvature()
@@ -414,10 +417,12 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
     mean zero and scaled to unit variance, and so is the response; a
     constant one raises DegenerateColumnError naming ``path`` and the column.
 
-    Unparseable numeric cells raise with the 1-based data row number; a
-    repeated header name, a categorical response, a name shared by two
-    columns of X (say ``c=v`` beside categorical ``c``) or an X with no
-    column raise IngestError.
+    A malformed CSV raises IngestError naming ``path``: a numeric cell that
+    does not parse, or parses to NaN or +-inf (``nan``, ``inf``, ``1e400``),
+    with its 1-based data row and its column; a row with the wrong number of
+    fields, with its row; a repeated header name, a categorical response, a
+    name shared by two columns of X (say ``c=v`` beside categorical ``c``),
+    no data rows or an X with no column.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -447,11 +452,13 @@ def ingest_csv(path, response_column, categorical_columns=(), n_noise_features=0
         out = np.empty(n)
         for rownum, cell in enumerate(cells[name], start=1):
             try:
-                out[rownum - 1] = float(cell)
+                out[rownum - 1] = value = float(cell)
             except ValueError:
                 raise IngestError(
                     f"{path}: row {rownum}: cannot parse {name!r} value {cell!r}"
                 ) from None
+            if not math.isfinite(value):  # nan, inf, 1e400, ...
+                raise IngestError(f"{path}: row {rownum}: {name!r} value {cell!r} is not finite")
         return out
 
     names = [c for c in header if c != response_column and c not in categorical_columns]
@@ -530,8 +537,12 @@ def load_cache(path) -> Dataset:
 
     X and y are read in place once their sizes fit in the file, then the
     rest of the file in one read, whose name table and scaling block are
-    walked at the same offset; a cut file names the end of the first
-    section it cuts."""
+    walked at the same offset. A malformed cache raises IngestError naming
+    ``path``: a cut file names the end of the first section it cuts; also
+    bad magic, zero rows or columns, a name that is not UTF-8, a flag byte
+    other than 0 or 1, bytes after the end, and contents Dataset rejects (a
+    non-finite entry, a name count other than p). A column of zero or
+    overflowing curvature stays a DegenerateColumnError."""
     with open(path, "rb") as handle:
         size, off = os.fstat(handle.fileno()).st_size, 0
 
@@ -555,9 +566,11 @@ def load_cache(path) -> Dataset:
         if handle.read(5) != CACHE_MAGIC:
             raise IngestError(f"{path}: not a dataset cache (bad magic)")
         take(5)
-        n, p = (int(dim) for dim in read("<u8", 2))
+        n, p = read("<u8", 2).tolist()
         if n < 1:
             raise IngestError(f"{path}: the cache holds no rows")
+        if p < 1:
+            raise IngestError(f"{path}: the cache holds no columns")
         x, y = read("<f8", n, p), read("<f8", n)
         start, rest = off, handle.read(size - off)  # the names and the scaling block
         if len(rest) != size - off:
@@ -566,22 +579,35 @@ def load_cache(path) -> Dataset:
     def unpack(fmt: str) -> tuple:
         return struct.unpack_from(fmt, rest, take(struct.calcsize(fmt)) - start)
 
+    def flag(block: str) -> bool:
+        (byte,) = unpack("B")
+        if byte > 1:
+            raise IngestError(f"{path}: the {block} flag byte is {byte}, not 0 or 1")
+        return byte == 1
+
     names = []
-    for _ in range(unpack("<I")[0]):
+    for j in range(unpack("<I")[0]):
         (length,) = unpack("<I")
-        names.append(unpack(f"{length}s")[0].decode("utf-8"))
-    standardized = unpack("B")[0] == 1
+        (raw,) = unpack(f"{length}s")
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise IngestError(f"{path}: feature name {j} is not UTF-8") from None
+    standardized = flag("scaling")
     means = scales = None
     if standardized:
         means, scales = np.array(unpack(f"<{p}d")), np.array(unpack(f"<{p}d"))
     y_mean = y_scale = None
-    if unpack("B")[0] == 1:
+    if flag("response scaling"):
         y_mean, y_scale = unpack("<dd")
     if off < size:
         raise IngestError(f"{path}: {size - off} bytes after the cache's end")
-    return Dataset(x, y, names, standardized=standardized,
-                   column_means=means, column_scales=scales,
-                   y_mean=y_mean, y_scale=y_scale)
+    try:
+        return Dataset(x, y, names, standardized=standardized,
+                       column_means=means, column_scales=scales,
+                       y_mean=y_mean, y_scale=y_scale)
+    except ValueError as exc:  # a non-finite entry, or a name count other than p
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def save_truth(path, truth: SparseCoefficients) -> None:

@@ -27,7 +27,7 @@ from cesdar.data import (
     split,
     stream_rng,
 )
-from cesdar.exceptions import ConfigurationError, DegenerateColumnError, IngestError
+from cesdar.exceptions import CesdarError, ConfigurationError, DegenerateColumnError, IngestError
 
 
 def test_signal_floor_hand_value():
@@ -197,9 +197,17 @@ def test_standardization_is_idempotent(tmp_path):
 
 
 def test_ingest_unparseable_cell_names_row(tmp_path):
-    body = "a,y\n1,2\noops,3\n"
-    with pytest.raises(IngestError, match="row 2"):
-        ingest_csv(write_csv(tmp_path, body), "y", standardize=False)
+    # A cell float() cannot parse, or parses to NaN or +-inf, in a feature or
+    # in the response: rejected as it is parsed, before standardizing (whose
+    # RuntimeWarnings this suite turns into errors).
+    for cell in ("oops", "", "nan", "inf", "-inf", "1e400"):
+        for column, body in (("a", f"a,y\n1,2\n{cell},3\n4,6\n"),
+                             ("y", f"a,y\n1,2\n3,{cell}\n4,6\n")):
+            match = (re.escape("data.csv: row 2: ") + "(cannot parse )?"
+                     + re.escape(f"{column!r} value {cell!r}"))
+            for standardize in (True, False):
+                with pytest.raises(IngestError, match=match):
+                    ingest_csv(write_csv(tmp_path, body), "y", standardize=standardize)
 
 
 def test_ingest_missing_response(tmp_path):
@@ -540,6 +548,83 @@ def test_cache_with_trailing_bytes_is_ingest_error(tmp_path, standardized, extra
         load_cache(path)
 
 
+def _probe_dataset(standardized):
+    """A standardized 4x4 dataset with an empty and a non-ASCII name, or a plain 4x2 one."""
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal((4, 4)), rng.standard_normal(4)
+    if not standardized:
+        return Dataset(x[:, :2], y)
+    return Dataset(x, y, ["", "\u00e9t\u00e9", "x2", "beta"], standardized=True,
+                   column_means=rng.standard_normal(4), column_scales=rng.uniform(0.5, 2.0, 4),
+                   y_mean=0.25, y_scale=1.5)
+
+
+_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**16)),
+    st.tuples(st.just("tail"), st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("set"), st.integers(0, 2**16), st.integers(0, 255)),
+)
+
+
+# The examples set the plain cache's p to 0, a byte of X and of y to 0xFF
+# (making a NaN), a name byte to 0xFF, the name count to 1 and each flag
+# byte to 2: caches that must not load, nor fail with a bare Python error.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(standardized=st.booleans(), corruption=_CORRUPTIONS)
+@example(standardized=False, corruption=("set", 13, 0))
+@example(standardized=False, corruption=("set", 28, 255))
+@example(standardized=False, corruption=("set", 92, 255))
+@example(standardized=False, corruption=("set", 125, 255))
+@example(standardized=False, corruption=("set", 117, 1))
+@example(standardized=False, corruption=("set", 133, 2))
+@example(standardized=False, corruption=("set", 134, 2))
+def test_corrupt_cache_loads_or_is_cesdar_error(tmp_path, standardized, corruption):
+    # A cut, an appended tail or any one byte set to any value: the cache
+    # loads, or the error is a CesdarError; an IngestError names the file.
+    path = tmp_path / "probe.bin"
+    save_cache(path, _probe_dataset(standardized))
+    blob = bytearray(path.read_bytes())
+    kind, *args = corruption
+    if kind == "cut":
+        blob = blob[:args[0] % len(blob)]
+    elif kind == "tail":
+        blob += args[0]
+    else:
+        blob[args[0] % len(blob)] = args[1]
+    path.write_bytes(blob)
+    try:
+        load_cache(path)
+    except IngestError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    except CesdarError:
+        pass
+
+
+# Offsets in the plain probe cache: X at 21, y at 85, the name table
+# (count, then "x0" and "x1" with their lengths) at 117, the flags at 133.
+@pytest.mark.parametrize("start,stop,raw,problem", [
+    (133, 134, b"\x02", "the scaling flag byte is 2, not 0 or 1"),
+    (134, 135, b"\xff", "the response scaling flag byte is 255, not 0 or 1"),
+    (131, 132, b"\xc3", "feature name 1 is not UTF-8"),
+    (21, 29, struct.pack("<d", np.nan), "design matrix contains non-finite entries"),
+    (85, 93, struct.pack("<d", -np.inf), "response contains non-finite entries"),
+    (117, 133, struct.pack("<II", 1, 2) + b"x0",
+     "feature_names length does not match the number of columns"),
+], ids=["scaling_flag", "response_flag", "name_not_utf8", "x_nan", "y_inf", "name_count"])
+def test_cache_with_bad_contents_is_ingest_error(tmp_path, start, stop, raw, problem):
+    # A flag byte is 0 or 1 and a name is UTF-8; what Dataset rejects is
+    # reported with the file's path, not as a bare ValueError.
+    path = tmp_path / "probe.bin"
+    save_cache(path, _probe_dataset(False))
+    blob = bytearray(path.read_bytes())
+    assert len(blob) == 135
+    blob[start:stop] = raw
+    path.write_bytes(blob)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {problem}") + "$"):
+        load_cache(path)
+
+
 def test_cache_cut_while_read_is_ingest_error(tmp_path, monkeypatch):
     # load_cache checks sections against the size the file had when it was
     # opened; a file cut after that must not leave X partly uninitialised,
@@ -648,16 +733,20 @@ def test_one_pass_validation_matches_two_passes(n, p, seed, edits):
 
 
 def test_dataset_rejects_zero_rows():
-    # Its curvature would be 0/0 = NaN, and a fit would run on it.
+    # Without rows the curvature would be 0/0 = NaN, and a fit would run on
+    # it; without columns every fit would fail later (sparsity exceeds p=0).
     with pytest.raises(ValueError, match=r"dataset has no rows: X \(0, 3\)"):
         Dataset(np.empty((0, 3)), np.empty(0))
+    with pytest.raises(ValueError, match=r"dataset has no columns: X \(5, 0\)"):
+        Dataset(np.empty((5, 0)), np.zeros(5))
 
 
 def test_cache_without_rows_is_ingest_error(tmp_path):
     path = tmp_path / "empty.bin"
-    save_cache(path, Dataset(np.empty((0, 3)), np.empty(0), _validate=False))
-    with pytest.raises(IngestError, match=r"empty\.bin: the cache holds no rows"):
-        load_cache(path)
+    for shape, problem in (((0, 3), "rows"), ((5, 0), "columns")):
+        save_cache(path, Dataset(np.empty(shape), np.zeros(shape[0]), _validate=False))
+        with pytest.raises(IngestError, match=rf"empty\.bin: the cache holds no {problem}$"):
+            load_cache(path)
 
 
 def test_experiment_config_round_trip():
