@@ -29,7 +29,16 @@ Per outer iteration on active set A:
   machine. One verification exchange at the final point checks the
   solve: one more anchor for the low-communication variant, the dual
   exchange below for the distributed one, whose active entries are the
-  negated full-sample gradient there.
+  negated full-sample gradient there. Each step's exchange also gives the
+  master the full-sample Gram G times the step, and the fit keeps those
+  pairs (a ``LearnedGram``). The next root find, in the next outer
+  iteration or the next fit of an ACESDAR path, updates the last
+  preconditioner by them into a learned Gram and writes its block on the
+  coordinates both active sets share over the master's; it falls back to
+  the master's alone if that mix is not positive definite. So a set that
+  adds a few coordinates to the last one takes a few rounds. The learned
+  Gram is built only from replies already received: the master learns
+  nothing new and no message changes.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
@@ -55,6 +64,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .config import SolverConfig
 from .data import Dataset
@@ -71,6 +81,7 @@ __all__ = [
     "Partition",
     "partition",
     "SimulatedCluster",
+    "LearnedGram",
     "surrogate_root_find",
     "cesdar_fit",
     "ecesdar_fit",
@@ -368,19 +379,71 @@ class SimulatedCluster:
         return combined
 
 
+class LearnedGram(NamedTuple):
+    """What one surrogate root find learned of the full-sample Gram G on its
+    ``active`` set: the ``preconditioner`` its steps used, and per step the
+    direction v (``steps``) and G v (``replies``), the change in the exchanged
+    gradient along v. Every pair comes from ReportGradient replies the
+    master received anyway. A fit owns it, not the cluster: the engine keeps
+    it across outer iterations, ``FitResult.learned`` exposes it, and a warm
+    start may carry it on."""
+
+    active: np.ndarray
+    preconditioner: np.ndarray
+    steps: list
+    replies: list
+
+    def gram(self) -> np.ndarray:
+        """The learned Gram: the preconditioner after one BFGS update over the
+        pairs, taken in order. It maps the last step to its reply, and every
+        step to its reply while the steps stay G-conjugate; late steps of a
+        long solve drift from conjugacy and difference nearly equal
+        gradients, so there it maps them only approximately."""
+        learned = self.preconditioner
+        for step, reply in zip(self.steps, self.replies):
+            image = learned @ step
+            learned = (learned - np.outer(image, image) / float(step @ image)
+                       + np.outer(reply, reply) / float(step @ reply))
+        return learned
+
+
+def _preconditioner(shifted: np.ndarray, active: np.ndarray, learned) -> np.ndarray:
+    """``shifted`` = H1 + mu I with the learned Gram's block on the coordinates
+    ``active`` shares with the last root find written over it; ``shifted``
+    itself if they share none or the result is not positive definite."""
+    if learned is None:
+        return shifted
+    _, here, there = np.intersect1d(active, learned.active, assume_unique=True,
+                                    return_indices=True)
+    if here.size == 0:
+        return shifted
+    mixed = shifted.copy()
+    mixed[np.ix_(here, here)] = learned.gram()[np.ix_(there, there)]
+    if not np.isfinite(mixed).all() or dpotrf(mixed, lower=1)[1]:
+        return shifted
+    return mixed
+
+
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
-                        curvature: np.ndarray, check=None):
+                        curvature: np.ndarray, check=None, learned=None):
     """Global least squares on ``active`` by preconditioned conjugate gradient.
 
     The system is the full-sample normal equations G b = c on ``active``,
     from the master shard's local least squares (its Gram H1, unshifted).
     An exchange broadcasts a point and averages the per-machine gradients
     with sample-size weights: the exact full-sample gradient there. Round 0
-    exchanges at the start point. Each step solves z = (H1 + mu I)^-1 r for
-    the current gradient r, preconditioned as in DiSCO with
-    mu = SURROGATE_SHIFT * tr(H1)/|A|, then exchanges at x + p, which gives
+    exchanges at the start point. Each step solves z = P^-1 r for the
+    current gradient r, then exchanges at x + p, which gives
     G p = grad(x + p) - r; in exact arithmetic at most |A| steps are
-    needed. The recurrence gradient drifts, so once it passes the stop
+    needed. The preconditioner P is H1 + mu I, shifted as in DiSCO with
+    mu = SURROGATE_SHIFT * tr(H1)/|A|. Given ``learned``, the
+    ``LearnedGram`` of the fit's last root find, P takes its learned Gram's
+    block on the coordinates ``active`` shares with that solve, and
+    H1 + mu I elsewhere; it keeps that mix only if a Cholesky factorization
+    of it succeeds, and is H1 + mu I otherwise. With the learned block
+    equal to G, P differs from G only in the rows and columns of the |N|
+    new coordinates, so at most 2|N| + 1 steps are needed in exact
+    arithmetic. The recurrence gradient drifts, so once it passes the stop
     test one more exchange, ``check(x)``, returns the true gradient at x (a
     failed check restarts from x with it). The default check is one more
     anchor exchange; a caller may pass another exchange that yields the
@@ -392,19 +455,21 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
     for the start point, and the shifted Gram still preconditions G, so the
     solve converges to the full-sample least squares, flagged ``jittered``
-    (so is the fit). With no remote worker (M=1) it returns the master's
-    least squares after 0 rounds.
+    (so is the fit); only that start solve sets the flag. With no remote
+    worker (M=1) it returns the master's least squares after 0 rounds.
 
-    Returns (coefficients, jittered, rounds, converged).
+    Returns (coefficients, jittered, rounds, converged, learned): the last
+    is this solve's ``LearnedGram`` for the next one, None when no
+    exchange ran.
     """
     active = np.asarray(active, dtype=np.int64)
     p = cluster.p
     if active.size == 0:
-        return SparseCoefficients.zeros(p), False, 0, True
+        return SparseCoefficients.zeros(p), False, 0, True, None
     gram, rhs = normal_equations(cluster.master_shard, active)
     point, jittered = spd_solve(gram, rhs, active_set=active)
     if not cluster.workers:
-        return SparseCoefficients(p, active, point), jittered, 0, True
+        return SparseCoefficients(p, active, point), jittered, 0, True, None
 
     def gradient(at: np.ndarray) -> np.ndarray:
         """One exchange: the full-sample gradient on ``active`` at ``at``."""
@@ -414,6 +479,8 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
 
     check = gradient if check is None else check
     shifted = gram + SURROGATE_SHIFT * np.trace(gram) / active.size * np.eye(active.size)
+    preconditioner = _preconditioner(shifted, active, learned)
+    steps, replies = [], []
     g_active = curvature[active]
     residual, verified, direction = gradient(point), True, None
     rounds = 0
@@ -425,7 +492,7 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         converged = small and verified
         if converged or rounds >= SURROGATE_MAX_ROUNDS:
             break
-        step = spd_solve(shifted, residual, active_set=active)[0]
+        step = spd_solve(preconditioner, residual, active_set=active)[0]
         rounds += 1
         if small:  # check the recurrence against the true gradient
             residual, verified, direction = check(point), True, None
@@ -436,10 +503,13 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
         curv = float(direction @ g_direction)
         if not curv > 0.0:  # G is not positive definite along the direction
             break
+        steps.append(direction)
+        replies.append(g_direction)
         point = point + rz / curv * direction
         residual = residual + rz / curv * g_direction
         rz_prev, verified = rz, False
-    return SparseCoefficients(p, active, point), jittered, rounds, converged
+    return (SparseCoefficients(p, active, point), jittered, rounds, converged,
+            LearnedGram(active, preconditioner, steps, replies))
 
 
 class _ClusterEngine:
@@ -451,10 +521,11 @@ class _ClusterEngine:
     answers the loop's ``raw_dual`` call at that same iterate.
     """
 
-    def __init__(self, cluster: SimulatedCluster):
+    def __init__(self, cluster: SimulatedCluster, learned=None):
         self.cluster = cluster
         self.p = cluster.p
         self.surrogate_ok = True
+        self.learned = learned  # the last root find's LearnedGram
         self._checked = None  # (iterate, raw dual) of the last dual check
 
     def curvature(self) -> np.ndarray:
@@ -478,8 +549,8 @@ class _ClusterEngine:
         self.cluster.iteration += 1
         # The surrogate rounds weight gradients by sample size and use the
         # curvature only for their stop scale, so either engine's works.
-        beta, jittered, rounds, ok = surrogate_root_find(
-            self.cluster, active, self.curvature(), self.check(active)
+        beta, jittered, rounds, ok, self.learned = surrogate_root_find(
+            self.cluster, active, self.curvature(), self.check(active), self.learned
         )
         self.surrogate_ok = self.surrogate_ok and ok
         return beta, jittered, rounds
@@ -508,7 +579,7 @@ class _MasterOnlyEngine(_ClusterEngine):
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,
                      warm=None, cluster=None) -> FitResult:
     """The shared loop on ``cluster`` (or a fresh one), with the fit's own
-    ledger, iteration count and message list."""
+    ledger, iteration count, message list and learned Gram."""
     if cfg.sparsity > data.p:
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
     if cluster is None:
@@ -517,10 +588,14 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
         raise ValueError("cluster= was built on another dataset or machine count")
     cluster.ledger, cluster.iteration = CommLedger(), 0
     cluster.messages = None if cluster.messages is None else []
-    engine = engine_cls(cluster)
+    learned = None
+    if warm is not None and len(warm) == 3:
+        *warm, learned = warm
+    engine = engine_cls(cluster, learned)
     result = _sdar_loop(engine, cfg, warm=warm)
     if not engine.surrogate_ok:
         result.converged = False
+    result.learned = engine.learned
     result.ledger = cluster.ledger
     result.messages = cluster.messages
     return result
@@ -535,7 +610,10 @@ def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, warm=None,
     restricted solves are the same least squares with no surrogate round.
 
     ``warm`` is an optional (coefficients, dual) pair seeding the first
-    detection. ``cluster`` runs the fit on a ``SimulatedCluster`` built on
+    detection, or a triple whose third element is the ``LearnedGram`` of
+    an earlier fit on this data (its ``learned``, or None): the first root
+    find then starts from that fit's learned Gram instead of the master's
+    alone. ``cluster`` runs the fit on a ``SimulatedCluster`` built on
     this ``data`` object and ``machines`` (ValueError otherwise); worker
     failure and message logging are set there. Same output; the fit's
     ledger omits set-up already exchanged on that cluster.

@@ -64,7 +64,8 @@ class Dataset:
     Rejects zero rows, zero columns, non-finite entries and columns whose
     curvature is zero or overflows at construction in one pass over X,
     scanning X entrywise only when a curvature is not finite, so the solvers
-    never re-validate; shards carry only their rows and names.
+    never re-validate; shards carry only their rows and names. Scaling
+    fields, when given, must be finite, and the scales above 0.
     ``column_curvature`` (squared column norms over n) is cached, as are the
     columns ``columns`` has gathered; neither depends on an iterate, and X
     is never mutated.
@@ -91,6 +92,17 @@ class Dataset:
             raise ValueError(f"standardized data needs {self.p} column_means and column_scales")
         if (y_mean is None) != (y_scale is None):
             raise ValueError("y_mean and y_scale must be given together")
+        # What maps a standardized fit back to the data's units: finite, and
+        # each scale positive.
+        if self.column_means is not None and not np.isfinite(self.column_means).all():
+            raise ValueError("column_means contain a non-finite value")
+        if self.column_scales is not None and not (np.isfinite(self.column_scales).all()
+                                                   and (self.column_scales > 0).all()):
+            raise ValueError("column_scales must be finite and positive")
+        if y_mean is not None and not math.isfinite(y_mean):
+            raise ValueError(f"y_mean must be finite, got {y_mean!r}")
+        if y_scale is not None and not (math.isfinite(y_scale) and y_scale > 0):
+            raise ValueError(f"y_scale must be finite and positive, got {y_scale!r}")
         self._curvature = None
         self._column_slot = self._column_rows = None  # see columns
         self._column_count = 0
@@ -541,7 +553,8 @@ def load_cache(path) -> Dataset:
     ``path``: a cut file names the end of the first section it cuts; also
     bad magic, zero rows or columns, a name that is not UTF-8, a flag byte
     other than 0 or 1, bytes after the end, and contents Dataset rejects (a
-    non-finite entry, a name count other than p). A column of zero or
+    non-finite entry, a name count other than p, a non-finite scaling value
+    or a scale not above 0). A column of zero or
     overflowing curvature stays a DegenerateColumnError."""
     with open(path, "rb") as handle:
         size, off = os.fstat(handle.fileno()).st_size, 0
@@ -606,7 +619,7 @@ def load_cache(path) -> Dataset:
         return Dataset(x, y, names, standardized=standardized,
                        column_means=means, column_scales=scales,
                        y_mean=y_mean, y_scale=y_scale)
-    except ValueError as exc:  # a non-finite entry, or a name count other than p
+    except ValueError as exc:  # a non-finite entry, a bad name count or scaling value
         raise IngestError(f"{path}: {exc}") from None
 
 

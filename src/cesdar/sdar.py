@@ -45,7 +45,9 @@ class FitResult:
     zeroed on the solved active set. ``rel_loss`` is the half-mean-square
     loss relative to the zero solution, so converged fits have it <= 0.
     ``iterations`` counts the restricted solves run, except on a cycled fit,
-    where it is the index of the returned best iterate.
+    where it is the index of the returned best iterate. ``learned`` is the
+    last surrogate root find's ``cluster.LearnedGram`` (None at M=1), which
+    a later fit's warm start may carry on.
     """
 
     beta: SparseCoefficients
@@ -60,6 +62,7 @@ class FitResult:
     ledger: object = None
     inner_rounds: list = field(default_factory=list)
     messages: list | None = None
+    learned: object = None
 
 
 class ActiveSelection(NamedTuple):

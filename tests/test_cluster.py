@@ -20,11 +20,13 @@ from cesdar.cluster import (
     partition,
     surrogate_root_find,
 )
-from cesdar.config import SolverConfig
+from cesdar.config import SolverConfig, TuningConfig
 from cesdar.data import Dataset, SparseCoefficients, SyntheticSpec, generate
 from cesdar.exceptions import DegenerateColumnError, WorkerUnavailableError
 from cesdar.linalg import spd_solve
+from cesdar.metrics import ORACLE_TOL
 from cesdar.sdar import esdar_fit, kkt_residual, residual_correlation, root_find_local
+from cesdar.tuning import acesdar_fit
 
 
 def bitwise_equal(a, b):
@@ -179,7 +181,7 @@ def test_surrogate_identical_shards_equals_local():
     tiled = Dataset(np.tile(block.x, (4, 1)), np.tile(block.y, 4))
     cluster = SimulatedCluster(tiled, 4)
     active = np.array([1, 5, 8])
-    beta, _, rounds, ok = surrogate_root_find(cluster, active, cluster.collect_curvature())
+    beta, _, rounds, ok, _ = surrogate_root_find(cluster, active, cluster.collect_curvature())
     local, _ = root_find_local(block, active)
     assert ok
     assert np.abs(beta.dense() - local.dense()).max() <= 1e-12
@@ -189,7 +191,7 @@ def test_surrogate_close_to_global_least_squares():
     data, _ = generate(SyntheticSpec(n=400, p=20, s=3, seed=8))
     cluster = SimulatedCluster(data, 4)
     active = np.array([2, 9, 14])
-    beta, _, _, ok = surrogate_root_find(cluster, active, cluster.collect_curvature())
+    beta, _, _, ok, _ = surrogate_root_find(cluster, active, cluster.collect_curvature())
     oracle, _ = root_find_local(data, active)
     gap = np.linalg.norm(beta.dense() - oracle.dense())
     assert ok
@@ -200,7 +202,7 @@ def test_surrogate_close_to_global_least_squares():
 def test_surrogate_empty_active_set():
     data, _ = generate(SyntheticSpec(n=50, p=5, s=1, seed=9))
     cluster = SimulatedCluster(data, 2)
-    beta, jittered, rounds, ok = surrogate_root_find(
+    beta, jittered, rounds, ok, _ = surrogate_root_find(
         cluster, np.array([], dtype=np.int64), cluster.collect_curvature())
     assert beta.support.size == 0 and ok and rounds == 0
 
@@ -230,7 +232,7 @@ def test_surrogate_conjugate_gradient_property(size, spare_rows, spare_cols, mac
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cluster_module, "spd_solve", counted)
-        beta, _, rounds, converged = surrogate_root_find(cluster, active, curvature)
+        beta, _, rounds, converged, _ = surrogate_root_find(cluster, active, curvature)
     oracle, _ = root_find_local(data, active)
     anchors = sum(e.kind == "BroadcastAnchor" for e in cluster.ledger.entries) // (machines - 1)
     assert converged
@@ -248,7 +250,7 @@ def test_surrogate_stop_scale_follows_the_point(machines):
     data, _ = generate(SyntheticSpec(n=machines * size, p=size + 28, s=size, seed=0))
     active = np.sort(np.random.default_rng(0).choice(data.p, size, replace=False))
     cluster = SimulatedCluster(data, machines)
-    beta, _, _, converged = surrogate_root_find(cluster, active, cluster.curvature())
+    beta, _, _, converged, _ = surrogate_root_find(cluster, active, cluster.curvature())
     oracle, _ = root_find_local(data, active)
     assert converged
     assert np.abs(beta.dense() - oracle.dense()).max() <= 1e-9 * np.abs(oracle.values).max()
@@ -285,6 +287,87 @@ def test_anchor_gradients_match_direct_formula(n, p, size, machines, seed, scale
         answers.append(grads)
     for again, original in zip(answers[2], answers[0]):
         assert np.array_equal(again, original)
+
+
+# --- the learned Gram ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_learned_gram_maps_each_step_to_its_reply(seed):
+    # On a root find whose steps stay G-conjugate (|A| = 5 steps here), one
+    # BFGS update over the pairs maps every recorded step to its reply.
+    # Later steps of long solves lose conjugacy and their replies difference
+    # nearly equal gradients, so there only the last pair is exact; it is
+    # checked on a wide and a tall shape too.
+    for n, p, machines, size in ((400, 50, 4, 5), (240, 600, 4, 10), (2000, 100, 8, 10)):
+        data, _ = generate(SyntheticSpec(n=n, p=p, s=5, seed=seed))
+        cluster = SimulatedCluster(data, machines)
+        active = np.sort(np.random.default_rng(seed).choice(p, size, replace=False))
+        *_, learned = surrogate_root_find(cluster, active, cluster.curvature())
+        gram = learned.gram()
+        assert np.array_equal(learned.active, active) and learned.steps
+        assert (gram == gram.T).all() and np.all(np.linalg.eigvalsh(gram) > 0)
+        pairs = list(zip(learned.steps, learned.replies))
+        for step, reply in pairs if size == 5 else pairs[-1:]:
+            assert np.abs(gram @ step - reply).max() <= 1e-10 * np.abs(reply).max()
+
+
+def test_path_root_finds_take_at_most_2n_plus_2_rounds(monkeypatch):
+    # Along an ACESDAR path each root find's active set adds |N| coordinates
+    # to the last one's. With G on the shared block, the preconditioner
+    # differs from G in the rows and columns of N only, so 2|N| + 1 steps
+    # and the check suffice.
+    real, grown = cluster_module.surrogate_root_find, []
+
+    def recorded(cluster, active, curvature, check=None, learned=None):
+        out = real(cluster, active, curvature, check, learned)
+        if learned is not None and np.isin(learned.active, active).all():
+            grown.append((active.size - learned.active.size, out[2]))
+        return out
+
+    monkeypatch.setattr(cluster_module, "surrogate_root_find", recorded)
+    for seed in (1, 2):
+        data, _ = generate(SyntheticSpec(n=1000, p=400, s=10, seed=seed))
+        for step in (1, 2):
+            acesdar_fit(data, TuningConfig(step=step, machines=4))
+    assert len(grown) >= 60 and {added for added, _ in grown} == {1, 2}
+    for added, rounds in grown:
+        assert rounds <= 2 * added + 2
+
+
+def test_indefinite_learned_block_falls_back_to_the_master_gram():
+    # A doctored learned Gram (the negated preconditioner, no pairs) makes
+    # the mixed preconditioner indefinite: the root find preconditions with
+    # H1 + mu I exactly as without it, is not flagged jittered, and lands on
+    # the full-sample least squares.
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=5))
+    active = np.array([2, 7, 11, 19, 23])
+    plain = surrogate_root_find(SimulatedCluster(data, 4), active, data.column_curvature())
+    doctored = plain[4]._replace(preconditioner=-plain[4].preconditioner, steps=[], replies=[])
+    cluster = SimulatedCluster(data, 4)
+    beta, jittered, rounds, converged, learned = surrogate_root_find(
+        cluster, active, data.column_curvature(), learned=doctored)
+    oracle, _ = root_find_local(data, active)
+    assert converged and not jittered
+    assert np.array_equal(learned.preconditioner, plain[4].preconditioner)
+    assert beta == plain[0] and rounds == plain[2]
+    assert np.abs(beta.dense() - oracle.dense()).max() <= ORACLE_TOL
+
+
+def test_one_machine_fits_ignore_a_learned_gram():
+    # At M=1 no surrogate round runs, so a fit learns nothing and a learned
+    # Gram carried in by a warm start leaves it bitwise ESDAR.
+    data, _ = generate(SyntheticSpec(n=300, p=40, s=4, seed=6))
+    cfg = SolverConfig(sparsity=4)
+    donor = cesdar_fit(data, 4, SolverConfig(sparsity=3))
+    reference = esdar_fit(data, cfg)
+    assert reference.learned is None and donor.learned is not None
+    for fit in (cesdar_fit(data, 1, cfg), ecesdar_fit(data, 1, cfg)):
+        assert bitwise_equal(fit, reference) and fit.learned is None
+    warm = (donor.beta, donor.d)
+    plain = cesdar_fit(data, 1, cfg, warm=warm)
+    carried = cesdar_fit(data, 1, cfg, warm=warm + (donor.learned,))
+    assert bitwise_equal(carried, plain) and np.array_equal(carried.d, plain.d)
+    assert carried.learned is None
 
 
 # --- fixed points ------------------------------------------------------------
@@ -714,7 +797,8 @@ def test_master_shard_rank_deficient_gram():
     data = Dataset(x, data.y)
     active = np.array([4, 7, 11, 29])
     cluster = SimulatedCluster(data, 4)
-    beta, jittered, rounds, converged = surrogate_root_find(cluster, active, cluster.curvature())
+    beta, jittered, rounds, converged, _ = surrogate_root_find(
+        cluster, active, cluster.curvature())
     oracle, oracle_jittered = root_find_local(data, active)
     assert jittered and converged and not oracle_jittered
     assert type(jittered) is bool

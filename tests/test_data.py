@@ -625,6 +625,50 @@ def test_cache_with_bad_contents_is_ingest_error(tmp_path, start, stop, raw, pro
         load_cache(path)
 
 
+# The standardized probe cache ends with its 4 column means, 4 column
+# scales, the response flag byte, then y_mean and y_scale: (offset from the
+# end, field) of each value patched below.
+_SCALING_FIELDS = {"column_means": -81, "column_scales": -49, "y_mean": -16, "y_scale": -8}
+
+
+@pytest.mark.parametrize("field,entry,value,problem", [
+    ("column_means", 1, np.nan, "column_means contain a non-finite value"),
+    ("column_means", 3, -np.inf, "column_means contain a non-finite value"),
+    ("column_scales", 0, np.inf, "column_scales must be finite and positive"),
+    ("column_scales", 2, np.nan, "column_scales must be finite and positive"),
+    ("column_scales", 1, 0.0, "column_scales must be finite and positive"),
+    ("column_scales", 3, -1.5, "column_scales must be finite and positive"),
+    ("y_mean", 0, np.nan, "y_mean must be finite, got nan"),
+    ("y_mean", 0, np.inf, "y_mean must be finite, got inf"),
+    ("y_scale", 0, 0.0, "y_scale must be finite and positive, got 0.0"),
+    ("y_scale", 0, -2.0, "y_scale must be finite and positive, got -2.0"),
+    ("y_scale", 0, np.inf, "y_scale must be finite and positive, got inf"),
+    ("y_scale", 0, np.nan, "y_scale must be finite and positive, got nan"),
+])
+def test_cache_with_bad_scaling_is_ingest_error(tmp_path, field, entry, value, problem):
+    # The scaling block maps a standardized fit back to the data's units:
+    # each value is finite and each scale above 0, or the cache does not load.
+    path = tmp_path / "probe.bin"
+    data = _probe_dataset(True)
+    save_cache(path, data)
+    blob = bytearray(path.read_bytes())
+    at = len(blob) + _SCALING_FIELDS[field] + 8 * entry
+    stored = getattr(data, field)
+    assert struct.unpack_from("<d", blob, at)[0] == (stored[entry] if np.ndim(stored) else stored)
+    blob[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(blob)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {problem}") + "$"):
+        load_cache(path)
+    fields = dict(column_means=data.column_means.copy(), column_scales=data.column_scales.copy(),
+                  y_mean=data.y_mean, y_scale=data.y_scale)
+    if np.ndim(fields[field]):
+        fields[field][entry] = value
+    else:
+        fields[field] = value
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        Dataset(data.x, data.y, data.feature_names, standardized=True, **fields)
+
+
 def test_cache_cut_while_read_is_ingest_error(tmp_path, monkeypatch):
     # load_cache checks sections against the size the file had when it was
     # opened; a file cut after that must not leave X partly uninitialised,

@@ -165,6 +165,7 @@ def test_one_fit_per_path_point(monkeypatch):
     assert warms[0] is None
     for warm, before in zip(warms[1:], path):
         assert warm[0] is before.fit.beta and warm[1] is before.fit.d
+        assert warm[2] is before.fit.learned
 
 
 def test_path_csv_export(tmp_path):
@@ -190,14 +191,15 @@ def _without_setup(entries):
 @example(n=137, p=24, machines=3, step=2, j=6, seed=6504)  # a cold fit used to win at T=4
 def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
     # Each path point must be bitwise the fit a fresh cluster gives when
-    # warm-started from the point before it; its ledger drops only the
-    # set-up an earlier fit made.
+    # warm-started from the point before it, its learned Gram included; its
+    # ledger drops only the set-up an earlier fit made.
     data, _ = generate(SyntheticSpec(n=n, p=p, s=3, seed=seed))
     tune = TuningConfig(step=step, machines=machines, j_override=j)
     _, path = acesdar_fit(data, tune)
     for i, point in enumerate(path):
         cfg = SolverConfig(sparsity=point.sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        warm = None if i == 0 else (path[i - 1].fit.beta, path[i - 1].fit.d)
+        before = path[i - 1].fit
+        warm = None if i == 0 else (before.beta, before.d, before.learned)
         ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
         assert fit.beta == ref.beta
         assert point.hbic == hbic(data, point.fit.beta)  # scored from the path's loss
