@@ -385,8 +385,8 @@ class LearnedGram(NamedTuple):
     direction v (``steps``) and G v (``replies``), the change in the exchanged
     gradient along v. Every pair comes from ReportGradient replies the
     master received anyway. A fit owns it, not the cluster: the engine keeps
-    it across outer iterations, ``FitResult.learned`` exposes it, and a warm
-    start may carry it on."""
+    it across outer iterations, ``FitResult.learned`` exposes it, and a fit
+    warm-started from that one carries it on."""
 
     active: np.ndarray
     preconditioner: np.ndarray
@@ -588,10 +588,7 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
         raise ValueError("cluster= was built on another dataset or machine count")
     cluster.ledger, cluster.iteration = CommLedger(), 0
     cluster.messages = None if cluster.messages is None else []
-    learned = None
-    if warm is not None and len(warm) == 3:
-        *warm, learned = warm
-    engine = engine_cls(cluster, learned)
+    engine = engine_cls(cluster, None if warm is None else warm.learned)
     result = _sdar_loop(engine, cfg, warm=warm)
     if not engine.surrogate_ok:
         result.converged = False
@@ -609,11 +606,10 @@ def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, warm=None,
     curvature and duals are the master's, which holds every row, and the
     restricted solves are the same least squares with no surrogate round.
 
-    ``warm`` is an optional (coefficients, dual) pair seeding the first
-    detection, or a triple whose third element is the ``LearnedGram`` of
-    an earlier fit on this data (its ``learned``, or None): the first root
-    find then starts from that fit's learned Gram instead of the master's
-    alone. ``cluster`` runs the fit on a ``SimulatedCluster`` built on
+    ``warm`` is an earlier fit on this data (a ``FitResult``) or None. Its
+    ``beta`` and ``d`` seed the first detection, and the first root find
+    starts from its ``learned`` Gram instead of the master's alone.
+    ``cluster`` runs the fit on a ``SimulatedCluster`` built on
     this ``data`` object and ``machines`` (ValueError otherwise); worker
     failure and message logging are set there. Same output; the fit's
     ledger omits set-up already exchanged on that cluster.

@@ -311,11 +311,7 @@ def _draw_instance(spec: SyntheticSpec, rng, truth: SparseCoefficients | None):
         values = rng.uniform(spec.signal_floor, spec.signal_cap, size=spec.s)
         truth = SparseCoefficients(spec.p, support, values)
     noise = rng.standard_normal(spec.n)
-    if truth.support.size:
-        signal = x[:, truth.support] @ truth.values
-    else:
-        signal = np.zeros(spec.n)
-    y = signal + spec.noise_sd * noise
+    y = x[:, truth.support] @ truth.values + spec.noise_sd * noise
     return Dataset(x, y), truth
 
 

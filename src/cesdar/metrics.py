@@ -74,8 +74,6 @@ def estimation_error(beta_hat, beta_star) -> float:
 
 def prediction_error(test: Dataset, beta_hat) -> float:
     """Mean squared prediction error on a held-out set."""
-    if test.n == 0:
-        raise ValueError("empty test set")
     residual = test.x @ _dense(beta_hat) - test.y
     return float(residual @ residual) / test.n
 
@@ -107,23 +105,24 @@ def oracle_indicator(data: Dataset, beta_hat: SparseCoefficients, support_star) 
 
 @dataclass
 class TrialResult:
-    """One replicate: the fit, its cost, and the per-trial metric terms."""
+    """One replicate: the fit, its cost, and the per-trial metric terms.
+    The fields after ``beta_hat`` default to a failed trial's values."""
 
     replicate: int
     seed: int
     beta_hat: SparseCoefficients
-    iterations: int
-    converged: bool
-    wall_clock_compute: float
-    aee: float
-    ape: float
-    pdr_term: float
-    inactive_term: float
-    oracle: bool
-    selected_sparsity: int
-    worker_to_master_bytes: int
-    total_bytes: int
-    support_star: tuple
+    iterations: int = 0
+    converged: bool = False
+    wall_clock_compute: float = 0.0
+    aee: float = math.nan
+    ape: float = math.nan
+    pdr_term: float = math.nan
+    inactive_term: float = math.nan
+    oracle: bool = False
+    selected_sparsity: int = 0
+    worker_to_master_bytes: int = 0
+    total_bytes: int = 0
+    support_star: tuple = ()
     error: str = ""
 
 
@@ -215,14 +214,9 @@ def _trial_or_error(args) -> TrialResult:
     try:
         return _run_one_trial(config, replicate)
     except Exception as exc:  # noqa: BLE001 - per-trial errors are recorded
-        return TrialResult(
-            replicate=replicate, seed=config.base_seed + replicate,
-            beta_hat=SparseCoefficients.zeros(config.p), iterations=0,
-            converged=False, wall_clock_compute=0.0, aee=math.nan, ape=math.nan,
-            pdr_term=math.nan, inactive_term=math.nan, oracle=False,
-            selected_sparsity=0, worker_to_master_bytes=0, total_bytes=0,
-            support_star=(), error=f"{type(exc).__name__}: {exc}",
-        )
+        return TrialResult(replicate, config.base_seed + replicate,
+                           SparseCoefficients.zeros(config.p),
+                           error=f"{type(exc).__name__}: {exc}")
 
 
 def run_cell(config: ExperimentConfig, jobs: int = 1):

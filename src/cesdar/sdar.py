@@ -47,7 +47,7 @@ class FitResult:
     ``iterations`` counts the restricted solves run, except on a cycled fit,
     where it is the index of the returned best iterate. ``learned`` is the
     last surrogate root find's ``cluster.LearnedGram`` (None at M=1), which
-    a later fit's warm start may carry on.
+    a later fit warm-started from this one carries on.
     """
 
     beta: SparseCoefficients
@@ -131,22 +131,17 @@ def _sdar_loop(engine, cfg: SolverConfig, warm=None) -> FitResult:
     computable from quantities every engine already has; it drives the
     cycling guard and is reported in the result.
 
-    ``warm`` is an optional (coefficients, dual) pair seeding the first
-    detection; the zero-point correlation is still evaluated so the loss
-    bookkeeping stays uniform.
+    ``warm`` is an earlier fit (a ``FitResult``) or None: its ``beta`` and
+    ``d`` seed the first detection. The zero-point correlation is still
+    evaluated so the loss bookkeeping stays uniform.
     """
     g = engine.curvature()
     zeros = SparseCoefficients.zeros(engine.p)
     raw = engine.raw_dual(zeros)
     zero_correlation = raw
-    if warm is None:
-        beta = zeros
-        d = raw / g
-    else:
-        beta, warm_d = warm
-        if beta.dim != engine.p or warm_d.shape != (engine.p,):
-            raise ValueError("warm start does not match the problem dimension")
-        d = warm_d
+    beta, d = (zeros, raw / g) if warm is None else (warm.beta, warm.d)
+    if beta.dim != engine.p or d.shape != (engine.p,):
+        raise ValueError("warm start does not match the problem dimension")
     rel_loss = 0.0
 
     history: list[np.ndarray] = []

@@ -2,21 +2,23 @@
 
 The sweep walks T = step, 2*step, ... up to the sample-driven cap
 floor(n / (log(log n) * log p)) (n is the master-shard size) with one fit
-per point, warm-started from the previous point's (beta, d) as in the
-adaptive SDAR of Huang, Jiao, Liu & Lu (2018); there is no cold restart, so
-a warm start may end in a worse local fit than a cold one would. The point
-with the smallest HBIC wins; ties go to the smaller T. One cluster serves
-every fit of a path, so its set-up exchanges are made once, in the first
-point's fit and ledger.
+per point, warm-started from the previous point's fit as in the adaptive
+SDAR of Huang, Jiao, Liu & Lu (2018); there is no cold restart, so a warm
+start may end in a worse local fit than a cold one would. The point with
+the smallest HBIC wins; ties go to the smaller T. One cluster serves every
+fit of a path, so its set-up exchanges are made once, in the first point's
+fit and ledger.
 
-Each fit also hands the next one its learned Gram (``FitResult.learned``):
-what its surrogate rounds revealed of the full-sample Gram, built only from
-ReportGradient replies the master already received. The next point's active
-set mostly adds a coordinate or two to the last one, so its root find,
-preconditioned by that Gram on the shared coordinates, takes a few rounds
-instead of about |A|. Where the mix would not be positive definite the root
-find falls back to the master-shard Gram alone. Every message kind and size
-is unchanged; there are only fewer anchor exchanges.
+A warm start is the earlier fit itself: its (beta, d) seed the first
+detection, and its learned Gram (``FitResult.learned``) the first root find.
+That Gram is what the earlier fit's surrogate rounds revealed of the
+full-sample Gram, built only from ReportGradient replies the master already
+received. The next point's active set mostly adds a coordinate or two to
+the last one, so its root find, preconditioned by that Gram on the shared
+coordinates, takes a few rounds instead of about |A|. Where the mix would
+not be positive definite the root find falls back to the master-shard Gram
+alone. Every message kind and size is unchanged; there are only fewer
+anchor exchanges.
 """
 from __future__ import annotations
 
@@ -93,8 +95,7 @@ class PathPoint:
 
 def acesdar_fit(data: Dataset, tune: TuningConfig):
     """Sweep T = step, 2*step, ... up to ``path_cap``, score, select; each
-    fit is warm-started from the last one's (beta, d, learned Gram).
-    Returns (best point, full path)."""
+    fit is warm-started from the last one. Returns (best point, full path)."""
     cap = path_cap(data, tune)
     if cap < tune.step:
         raise ConfigurationError(
@@ -103,14 +104,13 @@ def acesdar_fit(data: Dataset, tune: TuningConfig):
 
     cluster = SimulatedCluster(data, tune.machines)
     path: list[PathPoint] = []
-    warm = None
+    fit = None
     for sparsity in range(tune.step, cap + 1, tune.step):
         cfg = SolverConfig(sparsity=sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        fit = cesdar_fit(data, tune.machines, cfg, warm=warm, cluster=cluster)
+        fit = cesdar_fit(data, tune.machines, cfg, warm=fit, cluster=cluster)
         loss = _half_mse_loss(data, fit.beta)
         path.append(PathPoint(sparsity=sparsity, hbic=hbic(data, fit.beta, loss),
                               loss=loss, fit=fit))
-        warm = (fit.beta, fit.d, fit.learned)
     return min(path, key=lambda point: point.hbic), path  # the first of tied minima
 
 

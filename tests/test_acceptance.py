@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 from cesdar.cli import main as cli_main
 from cesdar.cluster import (
-    MASTER_TO_WORKER,
     PROTOCOL_SHAPES,
     WORKER_TO_MASTER,
     SimulatedCluster,
@@ -31,6 +30,7 @@ from cesdar.metrics import (
 )
 from cesdar.sdar import esdar_fit, kkt_residual, root_find_local
 from cesdar.tuning import acesdar_fit, hbic
+from helpers import expected_ledger, ledger_rows
 
 pytestmark = pytest.mark.acceptance
 
@@ -183,32 +183,6 @@ def test_criterion_5_scaled_table2_regime():
 
 # -- 6 ------------------------------------------------------------------------
 
-def _replay_ledger(result, machines, p, sparsity, algo):
-    rows = []
-
-    def add(iteration, kind, direction, n_idx, n_reals):
-        for worker in range(1, machines):
-            rows.append((iteration, kind, direction, n_idx, n_reals, worker))
-
-    if algo == "cesdar":
-        for worker in range(1, machines):
-            rows.append((0, "ReportCurvature", WORKER_TO_MASTER, 0, p, worker))
-        add(0, "BroadcastActiveSet", MASTER_TO_WORKER, 0, 0)
-        add(0, "ReportDual", WORKER_TO_MASTER, 0, p)
-    for k in range(1, len(result.inner_rounds) + 1):
-        rounds = result.inner_rounds[k - 1]
-        # CESDAR checks a solve that ran rounds on its dual exchange below.
-        for _ in range(rounds if algo == "cesdar" and rounds else rounds + 1):
-            add(k, "BroadcastAnchor", MASTER_TO_WORKER, sparsity, sparsity)
-            add(k, "ReportGradient", WORKER_TO_MASTER, 0, sparsity)
-        if algo == "cesdar":
-            add(k, "BroadcastActiveSet", MASTER_TO_WORKER, sparsity, sparsity)
-            add(k, "ReportDual", WORKER_TO_MASTER, 0, p)
-    final = result.beta.support.size
-    add(len(result.inner_rounds), "BroadcastFinal", MASTER_TO_WORKER, final, final)
-    return rows
-
-
 def test_criterion_6_communication_asymmetry():
     sparsity, p = 10, 4000
     cfg = SolverConfig(sparsity=sparsity)
@@ -219,11 +193,7 @@ def test_criterion_6_communication_asymmetry():
             ces = cesdar_fit(data, machines, cfg)
             ece = ecesdar_fit(data, machines, cfg)
             for result, algo in ((ces, "cesdar"), (ece, "ecesdar")):
-                actual = [
-                    (e.iteration, e.kind, e.direction, e.n_indices, e.n_reals, e.worker)
-                    for e in result.ledger.entries
-                ]
-                if actual != _replay_ledger(result, machines, p, sparsity, algo):
+                if ledger_rows(result) != expected_ledger(result, machines, p, sparsity, algo):
                     violations.append(f"seed {seed} M={machines} {algo}: replay mismatch")
                 if any(e.byte_size != message_bytes(e.n_indices, e.n_reals)
                        for e in result.ledger.entries):

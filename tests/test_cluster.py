@@ -27,6 +27,7 @@ from cesdar.linalg import spd_solve
 from cesdar.metrics import ORACLE_TOL
 from cesdar.sdar import esdar_fit, kkt_residual, residual_correlation, root_find_local
 from cesdar.tuning import acesdar_fit
+from helpers import expected_ledger, ledger_rows
 
 
 def bitwise_equal(a, b):
@@ -363,11 +364,26 @@ def test_one_machine_fits_ignore_a_learned_gram():
     assert reference.learned is None and donor.learned is not None
     for fit in (cesdar_fit(data, 1, cfg), ecesdar_fit(data, 1, cfg)):
         assert bitwise_equal(fit, reference) and fit.learned is None
-    warm = (donor.beta, donor.d)
-    plain = cesdar_fit(data, 1, cfg, warm=warm)
-    carried = cesdar_fit(data, 1, cfg, warm=warm + (donor.learned,))
+    plain = cesdar_fit(data, 1, cfg, warm=dataclasses.replace(donor, learned=None))
+    carried = cesdar_fit(data, 1, cfg, warm=donor)
     assert bitwise_equal(carried, plain) and np.array_equal(carried.d, plain.d)
     assert carried.learned is None
+
+
+@pytest.mark.parametrize("case", ["other_p", "short_d"])
+def test_warm_start_of_another_dimension_is_error(case):
+    # A warm start is an earlier fit on a problem of the same dimension p:
+    # its coefficients and its dual must both have p entries.
+    data, _ = generate(SyntheticSpec(n=200, p=20, s=3, seed=7))
+    cfg = SolverConfig(sparsity=3)
+    if case == "other_p":
+        other, _ = generate(SyntheticSpec(n=200, p=21, s=3, seed=7))
+        warm = cesdar_fit(other, 2, cfg)
+    else:
+        donor = cesdar_fit(data, 2, cfg)
+        warm = dataclasses.replace(donor, d=donor.d[:-1])
+    with pytest.raises(ValueError, match="warm start does not match the problem dimension"):
+        cesdar_fit(data, 2, cfg, warm=warm)
 
 
 # --- fixed points ------------------------------------------------------------
@@ -392,38 +408,6 @@ def test_ecesdar_kkt_with_its_own_quantities():
 
 # --- the ledger ---------------------------------------------------------------
 
-def expected_ledger(result, machines, p, sparsity, algo):
-    """Replay the protocol rules into the expected ledger shape sequence."""
-    rows = []
-
-    def add(iteration, kind, direction, n_idx, n_reals):
-        for worker in range(1, machines):
-            rows.append((iteration, kind, direction, n_idx, n_reals, worker))
-
-    if algo == "cesdar":
-        for worker in range(1, machines):
-            rows.append((0, "ReportCurvature", WORKER_TO_MASTER, 0, p, worker))
-        add(0, "BroadcastActiveSet", MASTER_TO_WORKER, 0, 0)
-        add(0, "ReportDual", WORKER_TO_MASTER, 0, p)
-    solves = len(result.inner_rounds)
-    for k in range(1, solves + 1):
-        rounds = result.inner_rounds[k - 1]
-        # CESDAR checks a solve that ran rounds on the dual exchange below,
-        # ECESDAR on one more anchor exchange.
-        exchanges = rounds if algo == "cesdar" and rounds else rounds + 1
-        for _ in range(exchanges):
-            for worker in range(1, machines):
-                rows.append((k, "BroadcastAnchor", MASTER_TO_WORKER, sparsity, sparsity, worker))
-            for worker in range(1, machines):
-                rows.append((k, "ReportGradient", WORKER_TO_MASTER, 0, sparsity, worker))
-        if algo == "cesdar":
-            add(k, "BroadcastActiveSet", MASTER_TO_WORKER, sparsity, sparsity)
-            add(k, "ReportDual", WORKER_TO_MASTER, 0, p)
-    final = result.beta.support.size
-    add(solves, "BroadcastFinal", MASTER_TO_WORKER, final, final)
-    return rows
-
-
 @pytest.mark.parametrize("algo,fitter", [("cesdar", cesdar_fit), ("ecesdar", ecesdar_fit)])
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(20, 400), p=st.integers(1, 60), machines=st.integers(2, 6),
@@ -433,9 +417,7 @@ def test_ledger_matches_protocol_replay(algo, fitter, n, p, machines, sparsity, 
     assume(sparsity <= p and n // machines >= 2 * sparsity)
     data, _ = generate(SyntheticSpec(n=n, p=p, s=sparsity if p > 1 else 0, seed=seed))
     result = fitter(data, machines, SolverConfig(sparsity=sparsity))
-    actual = [(e.iteration, e.kind, e.direction, e.n_indices, e.n_reals, e.worker)
-              for e in result.ledger.entries]
-    assert actual == expected_ledger(result, machines, data.p, sparsity, algo)
+    assert ledger_rows(result) == expected_ledger(result, machines, data.p, sparsity, algo)
 
 
 def fit_fields(fit):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cesdar.config import ExperimentConfig
-from cesdar.data import SyntheticSpec, generate, generate_test, stream_rng
+from cesdar.data import SyntheticSpec, generate, generate_test
 from cesdar.exceptions import DegenerateColumnError
 import cesdar.metrics as metrics_module
 from cesdar.metrics import (
@@ -25,11 +25,7 @@ from cesdar.metrics import (
     write_trials_csv,
 )
 from cesdar.sdar import SparseCoefficients, root_find_local
-
-
-def orthogonal_design(n, p, seed=0):
-    q, _ = np.linalg.qr(stream_rng(seed, "data").standard_normal((n, p)))
-    return q * np.sqrt(n)
+from helpers import orthogonal_design
 
 
 # --- per-trial metrics ---------------------------------------------------------

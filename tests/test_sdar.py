@@ -16,11 +16,7 @@ from cesdar.sdar import (
     root_find_local,
 )
 from cesdar.linalg import gram_submatrix
-
-
-def orthogonal_design(n, p, seed=0):
-    q, _ = np.linalg.qr(stream_rng(seed, "data").standard_normal((n, p)))
-    return q * np.sqrt(n)
+from helpers import orthogonal_design
 
 
 # --- active-set detection -------------------------------------------------

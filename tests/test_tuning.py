@@ -6,15 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cesdar.cluster import SimulatedCluster, cesdar_fit, ecesdar_fit
 from cesdar.config import SolverConfig, TuningConfig
-from cesdar.data import Dataset, SyntheticSpec, generate, stream_rng
+from cesdar.data import Dataset, SyntheticSpec, generate
 from cesdar.exceptions import ConfigurationError
 from cesdar.sdar import SparseCoefficients
 from cesdar.tuning import acesdar_fit, hbic, max_sparsity_cap, path_cap, write_path_csv
-
-
-def orthogonal_design(n, p, seed=0):
-    q, _ = np.linalg.qr(stream_rng(seed, "data").standard_normal((n, p)))
-    return q * np.sqrt(n)
+from helpers import orthogonal_design
 
 
 # --- HBIC ---------------------------------------------------------------------
@@ -164,8 +160,7 @@ def test_one_fit_per_path_point(monkeypatch):
     assert len(warms) == len(path) == 4
     assert warms[0] is None
     for warm, before in zip(warms[1:], path):
-        assert warm[0] is before.fit.beta and warm[1] is before.fit.d
-        assert warm[2] is before.fit.learned
+        assert warm is before.fit
 
 
 def test_path_csv_export(tmp_path):
@@ -198,8 +193,7 @@ def test_shared_cluster_path_equals_fresh_fits(n, p, machines, step, j, seed):
     _, path = acesdar_fit(data, tune)
     for i, point in enumerate(path):
         cfg = SolverConfig(sparsity=point.sparsity, tau=tune.tau, max_iter=tune.max_iter)
-        before = path[i - 1].fit
-        warm = None if i == 0 else (before.beta, before.d, before.learned)
+        warm = None if i == 0 else path[i - 1].fit
         ref, fit = cesdar_fit(data, machines, cfg, warm=warm), point.fit
         assert fit.beta == ref.beta
         assert point.hbic == hbic(data, point.fit.beta)  # scored from the path's loss
