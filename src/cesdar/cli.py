@@ -13,7 +13,6 @@ non-convergence warning (outputs still written).
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -142,18 +141,16 @@ def cmd_fit(algo, machines, sparsity, tau, max_iter, out_path, **source):
 
 def _bench_cells(example: int, scale: float, replicates: int, seed: int, algos):
     """Expand one example into its cells: grid axes in order, algorithms
-    innermost. The single-machine baseline of a machine sweep appears once,
-    at the first machine count, labeled M=1."""
+    innermost. ESDAR cells run on one machine (M=1), so a machine sweep has
+    its ESDAR baseline once, at the first machine count."""
     grid = example_grid(example)
     cells = []
     for *point, algo in itertools.product(*grid.values(), algos):
         knobs = dict(zip(grid, point))
-        baseline = algo == "esdar" and "machines" in knobs
-        if baseline and knobs["machines"] != grid["machines"][0]:
+        if algo == "esdar" and "machines" in knobs and knobs["machines"] != grid["machines"][0]:
             continue
-        cell = example_config(example, scale=scale, replicates=replicates,
-                              base_seed=seed, algorithm=algo, **knobs)
-        cells.append(dataclasses.replace(cell, machines=1) if baseline else cell)
+        cells.append(example_config(example, scale=scale, replicates=replicates,
+                                    base_seed=seed, algorithm=algo, **knobs))
     return cells
 
 

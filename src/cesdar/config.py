@@ -89,11 +89,30 @@ class ExperimentConfig:
                                      "discovery rates need a true and a null coordinate")
         if self.machines < 1 or self.machines > self.n:
             raise ConfigurationError(f"machines must lie in [1, n], got {self.machines}")
+        if self.algorithm == "esdar" and self.machines != 1:
+            raise ConfigurationError(f"esdar runs on one machine, got machines={self.machines}")
+        if self.algorithm == "acesdar":
+            self._check_path()
         if self.algorithm != "acesdar" and self.sparsity > self.p:
             raise ConfigurationError(f"sparsity {self.sparsity} exceeds p={self.p}")
         # sparsity, tau, max_iter and step: checked here, not once per trial
         self.solver_config()
         self.tuning_config()
+
+    def _check_path(self) -> None:
+        """Refuse an ACESDAR cell whose sparsity cap on floor(n/M) rows and p
+        lies below ``step``: every trial would fail on its empty path."""
+        from .tuning import max_sparsity_cap  # tuning imports this module
+        rows = self.n // self.machines
+        try:
+            cap = min(max_sparsity_cap(rows, self.p), self.p)
+        except ConfigurationError:  # too few rows for the cap formula
+            cap = 0
+        if cap < self.step:
+            raise ConfigurationError(
+                f"acesdar has an empty path: floor(n/M)={rows} and p={self.p} give no "
+                f"sparsity cap of at least step={self.step} (the cap needs floor(n/M) >= 16)"
+            )
 
     def spec(self, seed: int):
         """The ``SyntheticSpec`` of this cell's replicate drawn from ``seed``."""

@@ -370,6 +370,8 @@ def example_config(example: int, scale: float = 1.0, replicates: int = 100,
     if scale != 1.0:
         base["n"] = max(int(base["n"] * scale), base["machines"])
         base["p"] = max(int(base["p"] * scale), base["s"] + 1, base["sparsity"])
+    if algorithm == "esdar":
+        base["machines"] = 1  # n above is still scaled with the grid's count
 
     return ExperimentConfig(
         algorithm=algorithm, tau=0.5, signal_ratio=20.0, noise_sd=1.0,
@@ -631,13 +633,26 @@ def save_truth(path, truth: SparseCoefficients) -> None:
 
 
 def load_truth(path) -> SparseCoefficients:
-    """Inverse of save_truth; IngestError naming the path on a missing key or
-    an unsorted or non-finite truth."""
+    """Inverse of save_truth; IngestError naming the path on text that is not
+    a JSON object, a missing key, a ``dim`` or ``support`` entry that is not
+    an integer, a value that is not a number (true is neither), or an
+    unsorted or non-finite truth."""
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise IngestError(f"{path}: truth is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise IngestError(f"{path}: truth must be a JSON object, got {type(payload).__name__}")
+    for key, kinds, what in (("dim", (int,), "an integer"),
+                             ("support", (int,), "a list of integers"),
+                             ("values", (int, float), "a list of numbers")):
+        if key not in payload:
+            raise IngestError(f"{path}: truth has no {key!r} key")
+        items = [payload[key]] if key == "dim" else payload[key]
+        if not isinstance(items, list) or any(type(item) not in kinds for item in items):
+            raise IngestError(f"{path}: truth {key!r} must be {what}")
     try:
-        return SparseCoefficients(int(payload["dim"]), payload["support"], payload["values"])
-    except KeyError as exc:
-        raise IngestError(f"{path}: truth has no {exc.args[0]!r} key") from None
+        return SparseCoefficients(payload["dim"], payload["support"], payload["values"])
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None

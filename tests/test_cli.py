@@ -195,6 +195,31 @@ def test_bench_example3_grid_axes():
         {(s, t) for s in range(2, 21, 2) for t in range(2, 21, 2)}
 
 
+@pytest.mark.parametrize("example,scale", [(1, 0.1), (2, 0.1), (3, 1.0), (4, 1.0)])
+def test_bench_esdar_cells_are_one_machine(example, scale):
+    # n is scaled with the grid's machine count, as for the other cells of
+    # the example; a machine sweep has one ESDAR cell.
+    from cesdar.cli import _bench_cells
+
+    esdar = _bench_cells(example, scale, 1, 0, ["esdar"])
+    others = _bench_cells(example, scale, 1, 0, ["cesdar"])
+    assert all(c.machines == 1 for c in esdar)
+    assert {c.n for c in esdar} == {c.n for c in others if c.machines == others[0].machines}
+    assert len(esdar) == (1 if example <= 2 else len(others))
+
+
+def test_bench_config_esdar_on_many_machines_is_exit_1(runner, tmp_path):
+    # Such a cell once ran on one machine and was labelled M=4 in every output.
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"algorithm": "esdar", "machines": 4, "n": 200, "p": 20,
+                                "s": 2, "replicates": 2}))
+    result = runner.invoke(main, ["bench", "--config", str(path),
+                                  "--out-dir", str(tmp_path / "bench")])
+    assert result.exit_code == 1
+    assert result.output == "error: bench: esdar runs on one machine, got machines=4\n"
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bench_writes_grid_csv(runner, tmp_path):
     out = tmp_path / "g"
     result = run(runner, ["bench", "--example", "2", "--scale", "0.1",
@@ -259,8 +284,13 @@ def test_bench_config_out_of_range_is_exit_1(runner, tmp_path, config, problem):
     ({"sparsity": 30}, "sparsity 30 exceeds p=20"),
     ({"s": 0}, "s=0 must lie in [1, p-1=19]"),
     ({"s": 20}, "s=20 must lie in [1, p-1=19]"),
+    ({"algorithm": "acesdar", "n": 60, "machines": 4},
+     "acesdar has an empty path: floor(n/M)=15 and p=20 give no sparsity cap of at least step=1"),
+    ({"algorithm": "acesdar", "step": 21},
+     "acesdar has an empty path: floor(n/M)=200 and p=20 give no sparsity cap of at least "
+     "step=21"),
 ], ids=["signal_ratio", "signal_ratio_inf", "noise_sd_nan", "sparsity_above_p", "s_zero",
-        "s_equals_p"])
+        "s_equals_p", "acesdar_rows_below_16", "acesdar_cap_below_step"])
 def test_bench_config_whose_every_trial_fails_is_exit_1(runner, tmp_path, config, problem):
     # Each of these cells once ran, completed no trial and exited 0.
     path = tmp_path / "cell.json"

@@ -351,6 +351,31 @@ def test_load_truth_rejects_invalid(tmp_path, payload, problem):
         load_truth(path)
 
 
+BAD_SUPPORT = "truth 'support' must be a list of integers"
+BAD_VALUES = "truth 'values' must be a list of numbers"
+
+
+@pytest.mark.parametrize("text,problem", [
+    ('{"dim": 8, "support": [1.5, 3], "values": [1.0, 2.0]}', BAD_SUPPORT),
+    ('{"dim": 8, "support": [true, 3], "values": [1.0, 2.0]}', BAD_SUPPORT),
+    ('{"dim": 8.0, "support": [1, 3], "values": [1.0, 2.0]}', "truth 'dim' must be an integer"),
+    ('{"dim": 8, "support": [1, 3], "values": [true, 2.0]}', BAD_VALUES),
+    ('{"dim": 8, "support": [1, 3], "values": ["1.0", 2.0]}', BAD_VALUES),
+    ('{"dim": 8, "support": 3, "values": 2.0}', BAD_SUPPORT),
+    ('{"dim": 8, "support": [1, 3], ', "truth is not valid JSON"),
+    ('[8, [1, 3], [1.0, 2.0]]', "truth must be a JSON object, got list"),
+], ids=["float_index", "bool_index", "float_dim", "bool_value", "string_value", "scalar_support",
+        "bad_json", "top_level_list"])
+def test_load_truth_rejects_malformed_sidecar(tmp_path, text, problem):
+    # None of these is a file save_truth writes, and each is refused naming
+    # the file. The float and bool entries and the string value used to load
+    # as another truth; bad JSON and a top-level list raised bare errors.
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=rf"t\.json: {re.escape(problem)}"):
+        load_truth(path)
+
+
 # The two examples are the former fixed cases: a 30x8 plain dataset with its
 # truth file, and a 12x3 standardized one with response scaling.
 @settings(max_examples=40, deadline=None,
