@@ -208,18 +208,6 @@ def test_bench_esdar_cells_are_one_machine(example, scale):
     assert len(esdar) == (1 if example <= 2 else len(others))
 
 
-def test_bench_config_esdar_on_many_machines_is_exit_1(runner, tmp_path):
-    # Such a cell once ran on one machine and was labelled M=4 in every output.
-    path = tmp_path / "cell.json"
-    path.write_text(json.dumps({"algorithm": "esdar", "machines": 4, "n": 200, "p": 20,
-                                "s": 2, "replicates": 2}))
-    result = runner.invoke(main, ["bench", "--config", str(path),
-                                  "--out-dir", str(tmp_path / "bench")])
-    assert result.exit_code == 1
-    assert result.output == "error: bench: esdar runs on one machine, got machines=4\n"
-    assert not (tmp_path / "bench").exists()
-
-
 def test_bench_writes_grid_csv(runner, tmp_path):
     out = tmp_path / "g"
     result = run(runner, ["bench", "--example", "2", "--scale", "0.1",
@@ -266,7 +254,9 @@ def test_bench_config_with_mistyped_value_is_exit_1(runner, tmp_path, config, pr
     ({"replicates": 0}, "replicates must be >= 1, got 0"),
     ({"s": -1}, "s=-1 must lie in [0, p=100]"),
     ({"tau": 1.5}, "tau must lie in (0, 1], got 1.5"),
-], ids=["sparsity", "n_test", "replicates", "s", "tau"])
+    # ran on one machine and was labelled M=4 in every output
+    ({"algorithm": "esdar", "machines": 4}, "esdar runs on one machine, got machines=4"),
+], ids=["sparsity", "n_test", "replicates", "s", "tau", "esdar_machines"])
 def test_bench_config_out_of_range_is_exit_1(runner, tmp_path, config, problem):
     path = tmp_path / "cell.json"
     path.write_text(json.dumps({"n": 200, "p": 100, "s": 2, "replicates": 1, **config}))

@@ -339,40 +339,31 @@ def test_split_names_a_column_constant_on_either_half():
         split(Dataset(x, y, names), n - 1, seed)
 
 
-@pytest.mark.parametrize("payload,problem", [
-    ({"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}, "strictly increasing"),
-    ({"dim": 8, "support": [1, 4], "values": [1.0, float("nan")]}, "finite"),
-    ({"dim": 8, "support": [1, 4]}, "truth has no 'values' key"),
-], ids=["unsorted", "non_finite", "missing_key"])
-def test_load_truth_rejects_invalid(tmp_path, payload, problem):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(IngestError, match=rf"t\.json: .*{problem}"):
-        load_truth(path)
-
-
 BAD_SUPPORT = "truth 'support' must be a list of integers"
 BAD_VALUES = "truth 'values' must be a list of numbers"
 
 
-@pytest.mark.parametrize("text,problem", [
-    ('{"dim": 8, "support": [1.5, 3], "values": [1.0, 2.0]}', BAD_SUPPORT),
-    ('{"dim": 8, "support": [true, 3], "values": [1.0, 2.0]}', BAD_SUPPORT),
-    ('{"dim": 8.0, "support": [1, 3], "values": [1.0, 2.0]}', "truth 'dim' must be an integer"),
-    ('{"dim": 8, "support": [1, 3], "values": [true, 2.0]}', BAD_VALUES),
-    ('{"dim": 8, "support": [1, 3], "values": ["1.0", 2.0]}', BAD_VALUES),
-    ('{"dim": 8, "support": 3, "values": 2.0}', BAD_SUPPORT),
+# A str payload is written as it is. The float and bool entries, the float
+# dim and the string value used to load as another truth, and bad JSON and a
+# top-level list raised bare errors without the file's name.
+@pytest.mark.parametrize("payload,problem", [
+    ({"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}, "strictly increasing"),
+    ({"dim": 8, "support": [1, 4], "values": [1.0, float("nan")]}, "finite"),
+    ({"dim": 8, "support": [1, 4]}, "truth has no 'values' key"),
+    ({"dim": 8, "support": [1.5, 3], "values": [1.0, 2.0]}, BAD_SUPPORT),
+    ({"dim": 8, "support": [True, 3], "values": [1.0, 2.0]}, BAD_SUPPORT),
+    ({"dim": 8.0, "support": [1, 3], "values": [1.0, 2.0]}, "truth 'dim' must be an integer"),
+    ({"dim": 8, "support": [1, 3], "values": [True, 2.0]}, BAD_VALUES),
+    ({"dim": 8, "support": [1, 3], "values": ["1.0", 2.0]}, BAD_VALUES),
+    ({"dim": 8, "support": 3, "values": 2.0}, BAD_SUPPORT),
     ('{"dim": 8, "support": [1, 3], ', "truth is not valid JSON"),
-    ('[8, [1, 3], [1.0, 2.0]]', "truth must be a JSON object, got list"),
-], ids=["float_index", "bool_index", "float_dim", "bool_value", "string_value", "scalar_support",
-        "bad_json", "top_level_list"])
-def test_load_truth_rejects_malformed_sidecar(tmp_path, text, problem):
-    # None of these is a file save_truth writes, and each is refused naming
-    # the file. The float and bool entries and the string value used to load
-    # as another truth; bad JSON and a top-level list raised bare errors.
+    ([8, [1, 3], [1.0, 2.0]], "truth must be a JSON object, got list"),
+], ids=["unsorted", "non_finite", "missing_key", "float_index", "bool_index", "float_dim",
+        "bool_value", "string_value", "scalar_support", "bad_json", "top_level_list"])
+def test_load_truth_rejects_invalid(tmp_path, payload, problem):
     path = tmp_path / "t.json"
-    path.write_text(text)
-    with pytest.raises(IngestError, match=rf"t\.json: {re.escape(problem)}"):
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    with pytest.raises(IngestError, match=rf"t\.json: .*{problem}"):
         load_truth(path)
 
 
