@@ -24,7 +24,7 @@ import click
 from .cluster import CommLedger
 from .config import ExperimentConfig, SolverConfig, TuningConfig
 from .data import (
-    SyntheticSpec, example_config, example_grid, generate, ingest_csv,
+    SyntheticSpec, example_config, example_grid, example_machines, generate, ingest_csv,
     load_cache, save_cache, save_truth,
 )
 from .exceptions import CesdarError
@@ -55,8 +55,8 @@ def _load_dataset(data_path: str, response: str | None, categorical, noise_featu
 
 def _write_model(path, result, algorithm: str, machines: int, **extra) -> None:
     """Write a fit as sorted, indented JSON: its coefficients, iterations,
-    convergence flag and ledger totals (zero without a ledger, as for ESDAR),
-    plus the fields in ``extra``."""
+    converged, cycled and jittered flags and ledger totals (zero without a
+    ledger, as for ESDAR), plus the fields in ``extra``."""
     ledger = result.ledger or CommLedger()
     payload = {
         "algorithm": algorithm,
@@ -66,6 +66,8 @@ def _write_model(path, result, algorithm: str, machines: int, **extra) -> None:
         "values": [float(v) for v in result.beta.values],
         "iterations": result.iterations,
         "converged": bool(result.converged),
+        "cycled": bool(result.cycled),
+        "jittered": bool(result.jittered),
         "ledger": {"messages": len(ledger.entries), "total_bytes": ledger.total_bytes(),
                    "worker_to_master_bytes": ledger.worker_to_master_bytes()},
         **extra,
@@ -139,15 +141,18 @@ def cmd_fit(algo, machines, sparsity, tau, max_iter, out_path, **source):
         sys.exit(2)
 
 
-def _bench_cells(example: int, scale: float, replicates: int, seed: int, algos):
+def _bench_cells(example: int, scale: float, replicates: int, seed: int, algos, keep=None):
     """Expand one example into its cells: grid axes in order, algorithms
     innermost. ESDAR cells run on one machine (M=1), so a machine sweep has
-    its ESDAR baseline once, at the first machine count."""
+    its ESDAR baseline once, at the first machine count. With ``keep`` only
+    the cells of those machine counts are built."""
     grid = example_grid(example)
     cells = []
     for *point, algo in itertools.product(*grid.values(), algos):
         knobs = dict(zip(grid, point))
         if algo == "esdar" and "machines" in knobs and knobs["machines"] != grid["machines"][0]:
+            continue
+        if keep is not None and example_machines(example, algo, **knobs) not in keep:
             continue
         cells.append(example_config(example, scale=scale, replicates=replicates,
                                     base_seed=seed, algorithm=algo, **knobs))
@@ -172,17 +177,18 @@ def cmd_bench(example, config_path, scale, replicates, algos, machines_filter,
     algos = [a.strip() for a in algos.split(",") if a.strip()]
     if (example is None) == (config_path is None):
         raise CesdarError("pass exactly one of --example or --config")
-    if config_path is not None:
-        cells = [ExperimentConfig.from_json(Path(config_path).read_text())]
-    else:
-        cells = _bench_cells(example, scale, replicates, seed, algos)
+    keep = None
     if machines_filter:
         try:
             keep = {int(m) for m in machines_filter.split(",")}
         except ValueError:
             raise click.BadParameter(f"{machines_filter!r} is not a comma-separated list of "
                                      "integers", param_hint="'--machines'") from None
-        cells = [c for c in cells if c.machines in keep]
+    if config_path is not None:
+        cells = [ExperimentConfig.from_json(Path(config_path).read_text())]
+        cells = [c for c in cells if keep is None or c.machines in keep]
+    else:
+        cells = _bench_cells(example, scale, replicates, seed, algos, keep)
     if not cells:
         raise CesdarError("no cells selected")
 

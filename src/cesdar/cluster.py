@@ -17,13 +17,19 @@ so a cluster collects each once and every fit run on it shares them.
 
 Per outer iteration on active set A:
 
-* root finding: the master starts at its local least squares on A and
-  runs conjugate gradient on the full-sample normal equations,
-  preconditioned by the shifted master-shard Gram, until the sample-weighted
-  global gradient vanishes on A. Each exchange broadcasts a point
-  (BroadcastAnchor, |A| indices + |A| reals) and collects local gradients
-  there (ReportGradient, |A| reals): one at the start and one per conjugate
-  gradient step. Both distributed variants share this step. A worker keeps
+* root finding: the master runs conjugate gradient on the full-sample
+  normal equations, preconditioned by the shifted master-shard Gram, until
+  the sample-weighted global gradient vanishes on A. Each exchange
+  broadcasts a point (BroadcastAnchor, |A| indices + |A| reals) and collects
+  local gradients there (ReportGradient, |A| reals), one per conjugate
+  gradient step. The distributed variant starts at a point whose
+  full-sample gradient the master already holds: the last iterate whose raw
+  dual the fit exchanged, if A holds its support, or else zero, whose dual
+  is the set-up exchange; the negated raw dual on A is the gradient there.
+  A solve already converged at that point exchanges nothing. The
+  low-communication variant's duals are the master shard's, so it starts at
+  the master's local least squares on A and spends one exchange there.
+  Both distributed variants share the steps. A worker keeps
   only its shard's normal equations on the last active set and answers
   anchors from them; these aggregates of its own rows never leave the
   machine. One verification exchange at the final point checks the
@@ -37,8 +43,8 @@ Per outer iteration on active set A:
   coordinates both active sets share over the master's; it falls back to
   the master's alone if that mix is not positive definite. So a set that
   adds a few coordinates to the last one takes a few rounds. The learned
-  Gram is built only from replies already received: the master learns
-  nothing new and no message changes.
+  Gram and the start point are built only from replies already received:
+  the master learns nothing new and no message changes.
 * distributed variant only: the new coefficients go out
   (BroadcastActiveSet, |A| indices + |A| reals) and every worker reports
   its raw dual direction X_m'(y_m - X_m b)/n_m (ReportDual, p reals); the
@@ -51,15 +57,17 @@ Per outer iteration on active set A:
 
 One final BroadcastFinal (|A| indices + |A| reals) ships the estimate.
 Every dual request carries its iterate and workers keep no coefficients,
-so no fit needs to reset them first. With M=1 the master holds the dataset
-itself and no message moves or surrogate round runs; ESDAR is the
-low-communication fit on such a cluster, so both fits at M=1 are ESDAR.
+so no fit needs to reset them first, and no fit exchanges an iterate's dual
+twice. With M=1 the master holds the dataset itself and no message moves
+or surrogate round runs; ESDAR is the low-communication fit on such a
+cluster, so both fits at M=1 are ESDAR.
 
 A cluster's options (``fail_worker``, ``log_messages``) are set only where
 it is built; a fit runs on the one passed as ``cluster=`` or builds its own.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +90,7 @@ __all__ = [
     "partition",
     "SimulatedCluster",
     "LearnedGram",
+    "KnownDual",
     "surrogate_root_find",
     "cesdar_fit",
     "ecesdar_fit",
@@ -407,6 +416,20 @@ class LearnedGram(NamedTuple):
         return learned
 
 
+class KnownDual(NamedTuple):
+    """The last iterate whose raw dual X'(y - X beta)/N a fit exchanged on
+    the dataset ``data`` refers to, and that dual. On any active set that
+    holds the iterate's support, the negated dual is the full-sample
+    gradient there, so a root find may start at the iterate without an
+    exchange. A fit owns it like its ``LearnedGram``, and a fit
+    warm-started from that one on the same dataset carries it on. ``data``
+    is a weak reference, so a kept fit does not keep its dataset alive."""
+
+    data: weakref.ref
+    iterate: SparseCoefficients
+    raw: np.ndarray
+
+
 def _preconditioner(shifted: np.ndarray, active: np.ndarray, learned) -> np.ndarray:
     """``shifted`` = H1 + mu I with the learned Gram's block on the coordinates
     ``active`` shares with the last root find written over it; ``shifted``
@@ -425,14 +448,17 @@ def _preconditioner(shifted: np.ndarray, active: np.ndarray, learned) -> np.ndar
 
 
 def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
-                        curvature: np.ndarray, check=None, learned=None):
+                        curvature: np.ndarray, check=None, learned=None, start=None):
     """Global least squares on ``active`` by preconditioned conjugate gradient.
 
-    The system is the full-sample normal equations G b = c on ``active``,
-    from the master shard's local least squares (its Gram H1, unshifted).
+    The system is the full-sample normal equations G b = c on ``active``.
     An exchange broadcasts a point and averages the per-machine gradients
-    with sample-size weights: the exact full-sample gradient there. Round 0
-    exchanges at the start point. Each step solves z = P^-1 r for the
+    with sample-size weights: the exact full-sample gradient there. The
+    solve starts at ``start``, a (point, gradient) pair on ``active`` whose
+    gradient the caller already holds and that counts as checked, so it
+    exchanges nothing there; without one it starts at the master shard's
+    local least squares (its Gram H1, unshifted) and exchanges there once.
+    Each step solves z = P^-1 r for the
     current gradient r, then exchanges at x + p, which gives
     G p = grad(x + p) - r; in exact arithmetic at most |A| steps are
     needed. The preconditioner P is H1 + mu I, shifted as in DiSCO with
@@ -447,20 +473,24 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     test one more exchange, ``check(x)``, returns the true gradient at x (a
     failed check restarts from x with it). The default check is one more
     anchor exchange; a caller may pass another exchange that yields the
-    same gradient. Every exchange follows one solve, the unused one before
-    a check too, so ``rounds`` = solves - 1. The anchor exchanges number
-    rounds + 1 with the default check; with a check of another kind that
-    passes at once they number rounds (1 if no round ran).
+    same gradient. The master's least squares is solved with ``start``
+    too, and every round follows one solve, the unused one before a check
+    too, so ``rounds`` = solves - 1. Each round makes one exchange, plus one
+    anchor at the start without ``start``. So the anchor exchanges number
+    rounds + 1 with the default check and no ``start``; with a start and a
+    check of another kind that passes at once they number rounds - 1, and
+    none if the solve converged at its start (0 rounds).
 
     A master-shard Gram singular on ``active`` is jittered by ``spd_solve``
-    for the start point, and the shifted Gram still preconditions G, so the
-    solve converges to the full-sample least squares, flagged ``jittered``
-    (so is the fit); only that start solve sets the flag. With no remote
-    worker (M=1) it returns the master's least squares after 0 rounds.
+    for the master's least squares, and the shifted Gram still
+    preconditions G, so the solve converges to the full-sample least
+    squares, flagged ``jittered`` (so is the fit); only that start solve
+    sets the flag. With no remote worker (M=1) it returns the master's least
+    squares after 0 rounds.
 
     Returns (coefficients, jittered, rounds, converged, learned): the last
-    is this solve's ``LearnedGram`` for the next one, None when no
-    exchange ran.
+    is this solve's ``LearnedGram`` for the next one, None at M=1 or on an
+    empty ``active``.
     """
     active = np.asarray(active, dtype=np.int64)
     p = cluster.p
@@ -482,7 +512,8 @@ def surrogate_root_find(cluster: SimulatedCluster, active: np.ndarray,
     preconditioner = _preconditioner(shifted, active, learned)
     steps, replies = [], []
     g_active = curvature[active]
-    residual, verified, direction = gradient(point), True, None
+    point, residual = (point, gradient(point)) if start is None else start
+    verified, direction = True, None
     rounds = 0
     while True:
         # Scaled by the current point: a barely regular H1 can throw the
@@ -517,40 +548,69 @@ class _ClusterEngine:
 
     Its root find checks the surrogate solve on the dual exchange the loop
     needs next anyway: the raw dual at the final point, negated on the
-    active set, is the full-sample gradient there. The dual is kept and
-    answers the loop's ``raw_dual`` call at that same iterate.
+    active set, is the full-sample gradient there. The fit keeps the last
+    exchanged dual (``known``, a ``KnownDual``): it answers the loop's
+    ``raw_dual`` call at that same iterate, and the next root find starts
+    at that iterate when its active set holds the iterate's support.
     """
 
-    def __init__(self, cluster: SimulatedCluster, learned=None):
+    def __init__(self, cluster: SimulatedCluster, warm=None):
         self.cluster = cluster
         self.p = cluster.p
         self.surrogate_ok = True
-        self.learned = learned  # the last root find's LearnedGram
-        self._checked = None  # (iterate, raw dual) of the last dual check
+        # The last root find's LearnedGram, and the last exchanged dual.
+        self.learned = None if warm is None else warm.learned
+        known = None if warm is None else warm.known_dual
+        # A carried dual is this fit's only if it is this data's full-sample
+        # dual; at M=1 no surrogate round runs, so nothing needs it.
+        self.known = (known if cluster.workers and known is not None
+                      and known.data() is cluster.data else None)
 
     def curvature(self) -> np.ndarray:
         return self.cluster.curvature()
 
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
-        checked, self._checked = self._checked, None
-        if checked is not None and checked[0] == beta:
-            return checked[1]
-        return self.cluster.raw_dual(beta)
+        if self.known is not None and self.known.iterate == beta:
+            return self.known.raw
+        return self._exchange(beta)
+
+    def _exchange(self, beta: SparseCoefficients) -> np.ndarray:
+        raw = self.cluster.raw_dual(beta)
+        if beta.support.size:  # the cluster keeps the zero point's dual itself
+            self.known = KnownDual(weakref.ref(self.cluster.data), beta, raw)
+        return raw
 
     def check(self, active: np.ndarray):
         """The surrogate solve's verification exchange on ``active``."""
         def dual_check(point: np.ndarray) -> np.ndarray:
-            iterate = SparseCoefficients(self.p, active, point)
-            self._checked = iterate, self.cluster.raw_dual(iterate)
-            return -self._checked[1][iterate.support]
+            return -self._exchange(SparseCoefficients(self.p, active, point))[active]
         return dual_check
+
+    def start(self, active: np.ndarray):
+        """The root find's start on ``active`` and the full-sample gradient
+        there: the known iterate if ``active`` holds its support, else zero.
+        The known dual is re-keyed to that point on ``active``, so a solve
+        converged at its start exchanges nothing more. None at M=1."""
+        if not self.cluster.workers:
+            return None
+        known = self.known
+        iterate = None if known is None else known.iterate.canonical()
+        if iterate is None or not np.isin(iterate.support, active).all():
+            iterate = SparseCoefficients.zeros(self.p)
+            known = KnownDual(weakref.ref(self.cluster.data), iterate,
+                              self.cluster.raw_dual(iterate))
+        point = np.zeros(active.size)
+        point[np.searchsorted(active, iterate.support)] = iterate.values
+        self.known = known._replace(iterate=SparseCoefficients(self.p, active, point))
+        return point, -known.raw[active]
 
     def root_find(self, active: np.ndarray):
         self.cluster.iteration += 1
         # The surrogate rounds weight gradients by sample size and use the
         # curvature only for their stop scale, so either engine's works.
         beta, jittered, rounds, ok, self.learned = surrogate_root_find(
-            self.cluster, active, self.curvature(), self.check(active), self.learned
+            self.cluster, active, self.curvature(), self.check(active), self.learned,
+            self.start(active)
         )
         self.surrogate_ok = self.surrogate_ok and ok
         return beta, jittered, rounds
@@ -572,14 +632,19 @@ class _MasterOnlyEngine(_ClusterEngine):
     def raw_dual(self, beta: SparseCoefficients) -> np.ndarray:
         return residual_correlation(self.cluster.master_shard, beta)
 
+    # Its duals are the master's, not full-sample gradients: its root finds
+    # start at the master's least squares, and one more anchor checks them.
     def check(self, active: np.ndarray):
-        return None  # its duals are the master's: one more anchor checks
+        return None
+
+    def start(self, active: np.ndarray):
+        return None
 
 
 def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig,
                      warm=None, cluster=None) -> FitResult:
     """The shared loop on ``cluster`` (or a fresh one), with the fit's own
-    ledger, iteration count, message list and learned Gram."""
+    ledger, iteration count, message list, learned Gram and known dual."""
     if cfg.sparsity > data.p:
         raise ValueError(f"sparsity {cfg.sparsity} exceeds p={data.p}")
     if cluster is None:
@@ -588,11 +653,11 @@ def _distributed_fit(engine_cls, data: Dataset, machines: int, cfg: SolverConfig
         raise ValueError("cluster= was built on another dataset or machine count")
     cluster.ledger, cluster.iteration = CommLedger(), 0
     cluster.messages = None if cluster.messages is None else []
-    engine = engine_cls(cluster, None if warm is None else warm.learned)
+    engine = engine_cls(cluster, warm)
     result = _sdar_loop(engine, cfg, warm=warm)
     if not engine.surrogate_ok:
         result.converged = False
-    result.learned = engine.learned
+    result.learned, result.known_dual = engine.learned, engine.known
     result.ledger = cluster.ledger
     result.messages = cluster.messages
     return result
@@ -608,7 +673,8 @@ def cesdar_fit(data: Dataset, machines: int, cfg: SolverConfig, warm=None,
 
     ``warm`` is an earlier fit on this data (a ``FitResult``) or None. Its
     ``beta`` and ``d`` seed the first detection, and the first root find
-    starts from its ``learned`` Gram instead of the master's alone.
+    starts from its ``learned`` Gram instead of the master's alone, and at
+    its ``known_dual`` iterate if the active set holds that support.
     ``cluster`` runs the fit on a ``SimulatedCluster`` built on
     this ``data`` object and ``machines`` (ValueError otherwise); worker
     failure and message logging are set there. Same output; the fit's

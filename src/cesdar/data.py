@@ -31,6 +31,7 @@ __all__ = [
     "generate_test",
     "example_config",
     "example_grid",
+    "example_machines",
     "ingest_csv",
     "split",
     "save_cache",
@@ -370,14 +371,22 @@ def example_config(example: int, scale: float = 1.0, replicates: int = 100,
     if scale != 1.0:
         base["n"] = max(int(base["n"] * scale), base["machines"])
         base["p"] = max(int(base["p"] * scale), base["s"] + 1, base["sparsity"])
-    if algorithm == "esdar":
-        base["machines"] = 1  # n above is still scaled with the grid's count
+    # ESDAR's n above is still scaled with the grid's count.
+    base["machines"] = example_machines(example, algorithm, **knobs)
 
     return ExperimentConfig(
         algorithm=algorithm, tau=0.5, signal_ratio=20.0, noise_sd=1.0,
         replicates=replicates, base_seed=base_seed, example=example, scale=scale,
         label=f"example{example}", **base,
     )
+
+
+def example_machines(example: int, algorithm: str, **knobs) -> int:
+    """Machine count of an example cell: 1 for ESDAR, which runs on one
+    machine, else the grid point's ``machines`` or the example's own."""
+    if algorithm == "esdar":
+        return 1
+    return knobs.get("machines", _EXAMPLES[example][0]["machines"])
 
 
 def example_grid(example: int):

@@ -46,8 +46,11 @@ class FitResult:
     loss relative to the zero solution, so converged fits have it <= 0.
     ``iterations`` counts the restricted solves run, except on a cycled fit,
     where it is the index of the returned best iterate. ``learned`` is the
-    last surrogate root find's ``cluster.LearnedGram`` (None at M=1), which
-    a later fit warm-started from this one carries on.
+    last surrogate root find's ``cluster.LearnedGram`` (None at M=1), and
+    ``known_dual`` the last iterate whose full-sample raw dual the fit
+    exchanged, with that dual (a ``cluster.KnownDual``; None for ESDAR and
+    ECESDAR, whose duals are the master shard's); a later fit warm-started
+    from this one carries both on.
     """
 
     beta: SparseCoefficients
@@ -63,6 +66,7 @@ class FitResult:
     inner_rounds: list = field(default_factory=list)
     messages: list | None = None
     learned: object = None
+    known_dual: object = None
 
 
 class ActiveSelection(NamedTuple):

@@ -10,15 +10,18 @@ fit of a path, so its set-up exchanges are made once, in the first point's
 fit and ledger.
 
 A warm start is the earlier fit itself: its (beta, d) seed the first
-detection, and its learned Gram (``FitResult.learned``) the first root find.
-That Gram is what the earlier fit's surrogate rounds revealed of the
-full-sample Gram, built only from ReportGradient replies the master already
-received. The next point's active set mostly adds a coordinate or two to
-the last one, so its root find, preconditioned by that Gram on the shared
-coordinates, takes a few rounds instead of about |A|. Where the mix would
-not be positive definite the root find falls back to the master-shard Gram
-alone. Every message kind and size is unchanged; there are only fewer
-anchor exchanges.
+detection, and its learned Gram (``FitResult.learned``) and last exchanged
+dual (``FitResult.known_dual``) the first root find. That Gram is what the
+earlier fit's surrogate rounds revealed of the full-sample Gram, built only
+from ReportGradient replies the master already received. The next point's
+active set mostly adds a coordinate or two to the last one, so its root
+find, preconditioned by that Gram on the shared coordinates, takes a few
+rounds instead of about |A|. Where the mix would not be positive definite
+the root find falls back to the master-shard Gram alone. The root find
+starts at the earlier fit's last iterate, whose full-sample gradient on
+the new set is its negated dual, so it opens with no exchange, and that
+gradient nearly vanishes on the coordinates the two sets share. Every
+message kind and size is unchanged; there are only fewer anchor exchanges.
 """
 from __future__ import annotations
 

@@ -33,12 +33,14 @@ def expected_ledger(result, machines, p, sparsity, algo):
         add(0, "BroadcastActiveSet", MASTER_TO_WORKER, 0, 0)
         add(0, "ReportDual", WORKER_TO_MASTER, 0, p)
     for k, rounds in enumerate(result.inner_rounds, 1):
-        # CESDAR checks a solve that ran rounds on the dual exchange below,
-        # ECESDAR on one more anchor exchange.
-        for _ in range(rounds if algo == "cesdar" and rounds else rounds + 1):
+        # ECESDAR exchanges at its start and once per round, the last an
+        # anchor check. CESDAR starts where it knows the gradient and checks
+        # a solve on the dual exchange below, so it sends rounds - 1 anchors,
+        # and nothing at all for a solve converged at its start.
+        for _ in range(rounds - 1 if algo == "cesdar" else rounds + 1):
             add(k, "BroadcastAnchor", MASTER_TO_WORKER, sparsity, sparsity)
             add(k, "ReportGradient", WORKER_TO_MASTER, 0, sparsity)
-        if algo == "cesdar":
+        if algo == "cesdar" and rounds:
             add(k, "BroadcastActiveSet", MASTER_TO_WORKER, sparsity, sparsity)
             add(k, "ReportDual", WORKER_TO_MASTER, 0, p)
     final = result.beta.support.size

@@ -45,6 +45,7 @@ def test_fit_on_cache(runner, tmp_path):
     assert payload["dim"] == 20
     assert len(payload["support"]) == 3
     assert payload["converged"] is True
+    assert payload["cycled"] is False and payload["jittered"] is False
     assert payload["ledger"]["total_bytes"] > 0
 
 
@@ -208,6 +209,28 @@ def test_bench_esdar_cells_are_one_machine(example, scale):
     assert len(esdar) == (1 if example <= 2 else len(others))
 
 
+def test_bench_machines_filter_applies_before_cells_are_built(runner, tmp_path):
+    # The M=16 cell of this example has an empty ACESDAR path and is refused;
+    # --machines 2 drops it before it is built, so the M=2 cell runs.
+    out = tmp_path / "b"
+    result = run(runner, ["bench", "--example", "2", "--scale", "0.05", "--replicates", "1",
+                          "--algos", "acesdar", "--machines", "2", "--out-dir", str(out)])
+    assert result.exit_code == 0
+    assert [f.name for f in out.glob("trials_*.csv")] == ["trials_ex2_acesdar_m2_p500_s10_t10.csv"]
+
+
+@pytest.mark.parametrize("example,keep", [(1, {1, 4}), (2, {2, 16}), (3, {5}), (4, {1})])
+def test_bench_machines_filter_keeps_the_same_cells(example, keep):
+    # Filtering while building selects what filtering the built cells did,
+    # ESDAR's M=1 cells included.
+    from cesdar.cli import _bench_cells
+
+    algos = ["esdar", "cesdar", "ecesdar"]
+    built = _bench_cells(example, 0.1, 1, 0, algos)
+    assert _bench_cells(example, 0.1, 1, 0, algos, keep) == \
+        [c for c in built if c.machines in keep]
+
+
 def test_bench_writes_grid_csv(runner, tmp_path):
     out = tmp_path / "g"
     result = run(runner, ["bench", "--example", "2", "--scale", "0.1",
@@ -306,7 +329,7 @@ def test_tune_writes_path_and_model(runner, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["2", "4", "6", "8"]
     payload = json.loads(model.read_text())
     assert payload["algorithm"] == "acesdar"
-    assert "selected_sparsity" in payload
+    assert {"selected_sparsity", "cycled", "jittered"} <= set(payload)
 
 
 def test_tune_logs_sparsity_cap_example(runner, tmp_path):
@@ -417,6 +440,25 @@ def test_env_seed_is_default(runner, tmp_path, monkeypatch):
     assert run(runner, ["gen", "--n", "50", "--p", "5", "--s", "1", "--seed", "77",
                         "--out", str(out_b)]).exit_code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_model_records_cycled_and_jittered(runner, tmp_path, monkeypatch):
+    # A cycled fit's model says so, and not only "converged": false.
+    cache = gen_cache(runner, tmp_path)
+    real = SOLVERS["ecesdar"]
+
+    def flagged(data, machines, cfg, **kwargs):
+        result = real(data, machines, cfg, **kwargs)
+        result.converged, result.cycled, result.jittered = False, True, True
+        return result
+
+    monkeypatch.setitem(SOLVERS, "ecesdar", flagged)
+    model = tmp_path / "m.json"
+    result = runner.invoke(main, ["fit", "--algo", "ecesdar", "--machines", "2",
+                                  "--sparsity", "3", "--data", str(cache), "--out", str(model)])
+    assert result.exit_code == 2
+    payload = json.loads(model.read_text())
+    assert (payload["converged"], payload["cycled"], payload["jittered"]) == (False, True, True)
 
 
 def test_fit_nonconvergence_exit_2(runner, tmp_path, monkeypatch):

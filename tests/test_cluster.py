@@ -319,8 +319,8 @@ def test_path_root_finds_take_at_most_2n_plus_2_rounds(monkeypatch):
     # and the check suffice.
     real, grown = cluster_module.surrogate_root_find, []
 
-    def recorded(cluster, active, curvature, check=None, learned=None):
-        out = real(cluster, active, curvature, check, learned)
+    def recorded(cluster, active, curvature, check=None, learned=None, start=None):
+        out = real(cluster, active, curvature, check, learned, start)
         if learned is not None and np.isin(learned.active, active).all():
             grown.append((active.size - learned.active.size, out[2]))
         return out
@@ -364,10 +364,25 @@ def test_one_machine_fits_ignore_a_learned_gram():
     assert reference.learned is None and donor.learned is not None
     for fit in (cesdar_fit(data, 1, cfg), ecesdar_fit(data, 1, cfg)):
         assert bitwise_equal(fit, reference) and fit.learned is None
-    plain = cesdar_fit(data, 1, cfg, warm=dataclasses.replace(donor, learned=None))
+    plain = cesdar_fit(data, 1, cfg, warm=dataclasses.replace(donor, learned=None,
+                                                              known_dual=None))
     carried = cesdar_fit(data, 1, cfg, warm=donor)
     assert bitwise_equal(carried, plain) and np.array_equal(carried.d, plain.d)
     assert carried.learned is None
+
+
+def test_warm_start_from_other_data_carries_no_dual():
+    # A carried dual belongs to the data it was exchanged on: a fit on other
+    # data of the same shape starts as if the warm fit had none.
+    data, _ = generate(SyntheticSpec(n=300, p=40, s=4, seed=6))
+    other, _ = generate(SyntheticSpec(n=300, p=40, s=4, seed=7))
+    donor = cesdar_fit(other, 4, SolverConfig(sparsity=3))
+    cfg = SolverConfig(sparsity=4)
+    carried = cesdar_fit(data, 4, cfg, warm=donor)
+    plain = cesdar_fit(data, 4, cfg, warm=dataclasses.replace(donor, known_dual=None))
+    assert donor.known_dual is not None
+    assert fit_fields(carried) == fit_fields(plain)
+    assert carried.ledger.entries == plain.ledger.entries
 
 
 @pytest.mark.parametrize("case", ["other_p", "short_d"])
@@ -509,6 +524,106 @@ def test_failed_dual_check_continues_to_the_oracle():
     for beta, dual in duals:
         fresh = SimulatedCluster(data, machines).raw_dual(beta)
         assert dual.tobytes() == fresh.tobytes()
+
+
+def _dual_iterates(fit):
+    """The dense iterate of each dual exchange in a logged fit, in order."""
+    return [SparseCoefficients(fit.beta.dim, m.indices, m.reals).dense()
+            for e, m in zip(fit.ledger.entries, fit.messages)
+            if e.kind == "BroadcastActiveSet" and e.worker == 1]
+
+
+def _path_on(cluster, data, machines, top):
+    """Warm-started CESDAR fits at T = 1 .. top on ``cluster``, as a path runs them."""
+    fits, fit = [], None
+    for sparsity in range(1, top + 1):
+        fit = cesdar_fit(data, machines, SolverConfig(sparsity=sparsity), warm=fit,
+                         cluster=cluster)
+        fits.append(fit)
+    return fits
+
+
+@pytest.mark.parametrize("n,p,machines", [(400, 30, 4), (240, 600, 2), (2000, 100, 8)])
+def test_cesdar_never_opens_a_root_find_with_an_anchor(n, p, machines):
+    # CESDAR starts each root find where the master knows the full-sample
+    # gradient: the last iterate whose dual was exchanged, zero-padded onto
+    # the active set, or zero. No anchor goes to that start, nor to the
+    # master's local least squares, where ECESDAR opens every root find.
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=5, seed=n + p))
+    master = SimulatedCluster(data, machines).master_shard
+    workers = machines - 1
+    ces = _path_on(SimulatedCluster(data, machines, log_messages=True), data, machines, 6)
+    ece = ecesdar_fit(data, machines, SolverConfig(sparsity=5),
+                      cluster=SimulatedCluster(data, machines, log_messages=True))
+    last, opened = np.zeros(p), 0
+    for fit in ces + [ece]:
+        for k, active in enumerate(fit.active_history[:len(fit.inner_rounds)], 1):
+            sent = [(e.kind, m) for e, m in zip(fit.ledger.entries, fit.messages)
+                    if e.iteration == k and e.worker == 1]
+            anchors = [m.reals for kind, m in sent if kind == "BroadcastAnchor"]
+            local = root_find_local(master, active)[0].values
+            if fit is ece:
+                assert np.array_equal(anchors[0], local)
+                continue
+            inside = np.isin(np.flatnonzero(last), active).all()
+            start = last[active] if inside else np.zeros(active.size)
+            if anchors:
+                opened += 1
+                assert not np.array_equal(anchors[0], start)
+                assert not np.array_equal(anchors[0], local)
+            duals = [m for kind, m in sent if kind == "BroadcastActiveSet"]
+            if duals:
+                last = SparseCoefficients(p, duals[-1].indices, duals[-1].reals).dense()
+    assert opened >= 6
+
+
+def test_root_find_converged_at_its_start_exchanges_nothing():
+    # A fit warm-started from a converged fit at the same T detects that
+    # fit's active set again and starts its root find at that fit's last
+    # iterate, already solved: no exchange runs, and the loop's dual there is
+    # the one already exchanged. Only the final broadcast moves.
+    data, _ = generate(SyntheticSpec(n=400, p=30, s=4, seed=16))
+    machines, cfg = 4, SolverConfig(sparsity=4)
+    cluster = SimulatedCluster(data, machines, log_messages=True)
+    first = cesdar_fit(data, machines, cfg, cluster=cluster)
+    again = cesdar_fit(data, machines, cfg, warm=first, cluster=cluster)
+    assert first.converged and again.converged
+    assert again.inner_rounds == [0] and again.iterations == 1
+    assert again.beta == first.beta and np.array_equal(again.d, first.d)
+    assert [e.kind for e in again.ledger.entries] == ["BroadcastFinal"] * (machines - 1)
+    assert again.known_dual.raw is first.known_dual.raw
+
+
+@pytest.mark.parametrize("n,p,machines", [(400, 30, 4), (240, 600, 2), (1000, 400, 4)])
+def test_no_iterate_dual_is_exchanged_twice(n, p, machines):
+    # Over a warm-started path on one cluster, and a repeat of its last fit,
+    # every dual exchange is at a new point.
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=5, seed=p))
+    cluster = SimulatedCluster(data, machines, log_messages=True)
+    fits = _path_on(cluster, data, machines, 8)
+    fits.append(cesdar_fit(data, machines, SolverConfig(sparsity=8), warm=fits[-1],
+                           cluster=cluster))
+    points = [point.tobytes() for fit in fits for point in _dual_iterates(fit)]
+    assert len(points) >= 9 and len(set(points)) == len(points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(40, 400), p=st.integers(3, 60), machines=st.integers(2, 6),
+       sparsity=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_cesdar_lands_on_the_full_data_least_squares(n, p, machines, sparsity, seed):
+    # Cold and warm-started, CESDAR's estimate is the full-data least
+    # squares on the active set it last solved, within ORACLE_TOL, and a
+    # warm-started fit's ledger follows the replay rule too.
+    assume(sparsity < p and n // machines >= 2 * (sparsity + 1))
+    data, _ = generate(SyntheticSpec(n=n, p=p, s=min(sparsity, p - 1), seed=seed))
+    cold = cesdar_fit(data, machines, SolverConfig(sparsity=sparsity))
+    warm = cesdar_fit(data, machines, SolverConfig(sparsity=sparsity + 1), warm=cold)
+    for fit, size in ((cold, sparsity), (warm, sparsity + 1)):
+        assert max(fit.inner_rounds) < cluster_module.SURROGATE_MAX_ROUNDS
+        solved = fit.active_history[fit.iterations - 1]
+        oracle, _ = root_find_local(data, solved)
+        assert np.abs(fit.beta.dense() - oracle.dense()).max() <= ORACLE_TOL
+        assert ledger_rows(fit) == expected_ledger(fit, machines, data.p, size, "cesdar")
 
 
 def test_ledger_byte_sizes_recomputable():

@@ -17,7 +17,9 @@ log, so it shows whether a change moved an estimate or only the traffic.
 ``errors`` hashes the outcome, ``loads`` or the exception's type and message
 (the file's path replaced by ``<path>``), of ``load_cache`` on every cut,
 three appended tails and every byte set to 0xFF of two caches, and of
-``ingest_csv`` on a fixed list of malformed CSVs.
+``ingest_csv`` on a fixed list of malformed CSVs. ``truth`` hashes what
+``load_truth`` returns (dim, support and values) or raises on a saved truth
+sidecar and on each malformed one it refuses.
 Scalars are hashed by ``repr``, so a new type (``np.bool_`` for ``bool``)
 shows; arrays by dtype, shape and bytes.
 
@@ -40,8 +42,8 @@ from click.testing import CliRunner  # noqa: E402
 from cesdar.cli import main  # noqa: E402
 from cesdar.cluster import SimulatedCluster, cesdar_fit, ecesdar_fit  # noqa: E402
 from cesdar.config import SolverConfig, TuningConfig  # noqa: E402
-from cesdar.data import (Dataset, SyntheticSpec, generate, ingest_csv,  # noqa: E402
-                         load_cache, save_cache, split)
+from cesdar.data import (Dataset, SparseCoefficients, SyntheticSpec, generate,  # noqa: E402
+                         ingest_csv, load_cache, load_truth, save_cache, save_truth, split)
 from cesdar.exceptions import CesdarError  # noqa: E402
 from cesdar.sdar import esdar_fit  # noqa: E402
 from cesdar.tuning import acesdar_fit, write_path_csv  # noqa: E402
@@ -153,6 +155,24 @@ BAD_CSVS = [
 ]
 
 
+# Truth sidecar bodies load_truth refuses: unsorted, non-finite, a missing
+# key, float, bool and scalar entries, a float dim, a string value, bad JSON
+# and a top-level list.
+BAD_TRUTHS = [
+    '{"dim": 8, "support": [4, 1], "values": [1.0, 2.0]}',
+    '{"dim": 8, "support": [1, 4], "values": [1.0, NaN]}',
+    '{"dim": 8, "support": [1, 4]}',
+    '{"dim": 8, "support": [1.5, 3], "values": [1.0, 2.0]}',
+    '{"dim": 8, "support": [true, 3], "values": [1.0, 2.0]}',
+    '{"dim": 8.0, "support": [1, 3], "values": [1.0, 2.0]}',
+    '{"dim": 8, "support": [1, 3], "values": [true, 2.0]}',
+    '{"dim": 8, "support": [1, 3], "values": ["1.0", 2.0]}',
+    '{"dim": 8, "support": 3, "values": 2.0}',
+    '{"dim": 8, "support": [1, 3], ',
+    '[8, [1, 3], [1.0, 2.0]]',
+]
+
+
 def outcome(load, path: Path) -> bytes:
     """``loads``, or the type and message of what ``load(path)`` raises."""
     try:
@@ -177,12 +197,27 @@ def errors_digest(scratch: Path, h) -> None:
         h.update(outcome(lambda p: ingest_csv(p, response, categorical), path))
 
 
+def truth_digest(scratch: Path, h) -> None:
+    path = scratch / "truth.json"
+
+    def load(p):
+        truth = load_truth(p)
+        h.update(repr((truth.dim, truth.support.tobytes(), truth.values.tobytes())).encode())
+
+    save_truth(path, SparseCoefficients(8, [1, 3, 6], [0.5, -2.0, 1e-300]))
+    h.update(outcome(load, path))
+    for body in BAD_TRUTHS:
+        path.write_text(body)
+        h.update(outcome(load, path))
+
+
 def digests(scratch: Path) -> dict:
     kinds = ("esdar", "cesdar", "ecesdar", "acesdar", "bench", "cache", "ingest", "estimates",
-             "errors")
+             "errors", "truth")
     out = {kind: hashlib.sha256() for kind in kinds}
     ingest_digest(scratch, out["ingest"])
     errors_digest(scratch, out["errors"])
+    truth_digest(scratch, out["truth"])
     for data in cache_datasets():
         save_cache(scratch / "data.bin", data)
         back = load_cache(scratch / "data.bin")
