@@ -526,13 +526,6 @@ def test_failed_dual_check_continues_to_the_oracle():
         assert dual.tobytes() == fresh.tobytes()
 
 
-def _dual_iterates(fit):
-    """The dense iterate of each dual exchange in a logged fit, in order."""
-    return [SparseCoefficients(fit.beta.dim, m.indices, m.reals).dense()
-            for e, m in zip(fit.ledger.entries, fit.messages)
-            if e.kind == "BroadcastActiveSet" and e.worker == 1]
-
-
 def _path_on(cluster, data, machines, top):
     """Warm-started CESDAR fits at T = 1 .. top on ``cluster``, as a path runs them."""
     fits, fit = [], None
@@ -603,7 +596,9 @@ def test_no_iterate_dual_is_exchanged_twice(n, p, machines):
     fits = _path_on(cluster, data, machines, 8)
     fits.append(cesdar_fit(data, machines, SolverConfig(sparsity=8), warm=fits[-1],
                            cluster=cluster))
-    points = [point.tobytes() for fit in fits for point in _dual_iterates(fit)]
+    points = [SparseCoefficients(p, m.indices, m.reals).dense().tobytes()
+              for fit in fits for e, m in zip(fit.ledger.entries, fit.messages)
+              if e.kind == "BroadcastActiveSet" and e.worker == 1]
     assert len(points) >= 9 and len(set(points)) == len(points)
 
 
